@@ -25,7 +25,8 @@ the monitoring PR must not regress:
    replays through the cloud simulator at the end.  The headline
    ``bench.serving.pipeline_intervals_per_s`` excludes the warmup chunk
    (guard fit, cold caches) so it measures the rate a long-lived
-   deployment actually sustains.
+   deployment actually sustains.  The replay's own rate is
+   ``bench.serving.cloudsim_jobs_per_s`` (simulated jobs per second).
 
 4. **Checkpoint overhead** (``test_chunked_checkpoint_overhead``): the
    crash-safe streaming runtime (:class:`~repro.serving.stream.
@@ -221,6 +222,7 @@ def test_pipeline_throughput():
     simulate_s = perf() - t_sim
     assert result.n_intervals == j
     assert np.isfinite(result.underprovision_rate)
+    sim_jobs = float(result.arrivals.sum())
 
     steady = serve_chunks[1:] if len(serve_chunks) > 1 else serve_chunks
     steady_n = sum(n for n, _ in steady)
@@ -229,9 +231,10 @@ def test_pipeline_throughput():
     obs.gauge("bench.serving.pipeline_intervals").set(float(j))
     obs.gauge("bench.serving.pipeline_intervals_per_s").set(ips)
     obs.gauge("bench.serving.pipeline_simulate_s").set(simulate_s)
+    obs.gauge("bench.serving.cloudsim_jobs_per_s").set(sim_jobs / simulate_s)
     print(f"\n[serving-stream] pipeline: {j:,} intervals, steady-state "
           f"{ips:,.0f} intervals/s over {len(steady)} chunks "
-          f"(simulate {simulate_s:.2f}s)")
+          f"(simulate {simulate_s:.2f}s, {sim_jobs / simulate_s:,.0f} jobs/s)")
 
 
 def test_chunked_checkpoint_overhead(tmp_path):

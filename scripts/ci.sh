@@ -19,6 +19,12 @@ fi
 echo "== tier-1 tests =="
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q
 
+echo "== cloud simulator equivalence (serial and threaded) =="
+REPRO_MAX_WORKERS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python -m pytest -x -q tests/test_cloudsim_equivalence.py
+env -u REPRO_MAX_WORKERS PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python -m pytest -x -q tests/test_cloudsim_equivalence.py
+
 echo "== fault-injection smoke =="
 python scripts/fault_smoke.py
 
@@ -126,6 +132,7 @@ metrics = json.load(open(sys.argv[1]))["metrics"]
 for gauge in ("bench.serving.stream_intervals_per_s",
               "bench.serving.pipeline_intervals_per_s",
               "bench.serving.chunked_intervals_per_s",
+              "bench.serving.cloudsim_jobs_per_s",
               "bench.serving.checkpoint_overhead_pct",
               "bench.serving.monitor_overhead_pct",
               "bench.serving.predict_p50_ms",

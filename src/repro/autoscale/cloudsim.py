@@ -18,14 +18,36 @@ average job turnaround, under-provisioning rate, over-provisioning rate.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
+from repro.parallel import effective_workers
 
 __all__ = ["VMSpec", "SimulationResult", "CloudSimulator"]
+
+#: Runs with fewer jobs stay on one thread: below this the per-job work
+#: (a few ns) does not pay for a thread pool.
+_THREADED_MIN_JOBS = 4_000_000
+
+#: Draws per fill of the shared buffer (512 KiB of doubles): runs of
+#: small intervals share one fill and one pass of each transform.
+_FILL_JOBS = 1 << 16
+
+
+def _balanced_cuts(jobs: np.ndarray, n_blocks: int) -> list[int]:
+    """Interior interval indices splitting ``jobs`` into at most
+    ``n_blocks`` contiguous blocks of roughly equal job count."""
+    cum = np.cumsum(jobs)
+    if n_blocks <= 1 or cum.size == 0 or cum[-1] == 0:
+        return []
+    targets = cum[-1] * np.arange(1, n_blocks) / n_blocks
+    cuts = np.searchsorted(cum, targets) + 1
+    return sorted({int(c) for c in cuts if 0 < c < cum.size})
 
 
 @dataclass(frozen=True)
@@ -112,6 +134,22 @@ class CloudSimulator:
         ``arrivals[i]`` and ``provisioned[i]`` are interpreted as VM/job
         counts (fractions are rounded up — you cannot provision 0.4 VMs).
         """
+        return self._run(arrivals, provisioned, cuts=None)
+
+    def _run(
+        self, arrivals: np.ndarray, provisioned: np.ndarray,
+        cuts: Sequence[int] | None,
+    ) -> SimulationResult:
+        """:meth:`run`, with the intervals split into blocks at ``cuts``.
+
+        ``cuts`` are the interior block boundaries (interval indices);
+        ``None`` picks them: one block below :data:`_THREADED_MIN_JOBS`
+        jobs, else one job-balanced block per effective worker, each on
+        its own thread.  Every split gives the same bits: interval ``i``'s
+        draws start at offset ``sum(arrivals[:i])`` of the seeded stream
+        whichever block runs it, and ``vm_seconds`` is folded in interval
+        order once all blocks are done.
+        """
         a_raw = np.asarray(arrivals, dtype=np.float64)
         p_raw = np.asarray(provisioned, dtype=np.float64)
         # NaN/inf would silently wrap through the int64 cast into garbage
@@ -129,54 +167,99 @@ class CloudSimulator:
         if np.any(a < 0) or np.any(p < 0):
             raise ValueError("counts must be non-negative")
         n = a.size
-        rng = np.random.default_rng(self.seed)
         spec = self.spec
+        cold_jobs = np.maximum(a - p, 0)
+        under = cold_jobs.astype(np.float64)
+        over = np.maximum(p - a, 0).astype(np.float64)
+        # Stream offset of interval i's first draw: one double per job.
+        offsets = np.concatenate(([0], np.cumsum(a)))
+        if cuts is None:
+            threaded = offsets[-1] >= _THREADED_MIN_JOBS
+            cuts = _balanced_cuts(a, effective_workers() if threaded else 1)
+        bounds = [0, *cuts, n]
+        # The k-th cold VM of an interval is ready after
+        # (1 + k // max_concurrent) throttled startup waves.
+        max_cold = int(cold_jobs.max()) if n else 0
+        cold_delay = spec.startup_seconds * (
+            1 + np.arange(max_cold) // spec.max_concurrent_startups
+        )
 
         turnaround = np.zeros(n)
         makespan = np.zeros(n)
-        under = np.maximum(a - p, 0).astype(np.float64)
-        over = np.maximum(p - a, 0).astype(np.float64)
-        vm_seconds = 0.0
+        busy_seconds = np.zeros(n)     # sum of job completion times
 
-        # Per-step scaling-decision telemetry costs one branch per
-        # interval when no event sink is registered.
-        trace = _events.enabled()
+        def block(lo: int, hi: int) -> None:
+            rng = np.random.Generator(np.random.PCG64(self.seed))
+            rng.bit_generator.advance(int(offsets[lo]))
+            buf = np.empty(max(_FILL_JOBS, int(a[lo:hi].max()) if hi > lo else 0))
+            g0 = lo
+            while g0 < hi:
+                # The longest run of whole intervals (at least one) whose
+                # draws fit one fill: interval i's jobs sit at
+                # [offsets[i], offsets[i+1]) of the stream.
+                g1 = int(np.searchsorted(offsets, offsets[g0] + _FILL_JOBS, "right")) - 1
+                g1 = min(max(g1, g0 + 1), hi)
+                base = offsets[g0]
+                d = buf[:offsets[g1] - base]
+                # Same doubles, same operations in the same order as
+                # job_seconds * (1 + jitter * (2 * uniform(size=jobs) - 1))
+                # per interval, computed in place in a reused buffer.
+                rng.random(out=d)
+                d *= 2.0
+                d -= 1.0
+                d *= spec.job_jitter_frac
+                d += 1.0
+                d *= spec.job_seconds
+                starts = offsets[g0:g1] - base
+                ends = offsets[g0 + 1:g1 + 1] - base
+                busy = np.flatnonzero(ends > starts)
+                for j, lo_j, hi_j, cold in zip(
+                    busy.tolist(), starts[busy].tolist(), ends[busy].tolist(),
+                    cold_jobs[g0 + busy].tolist(),
+                ):
+                    # Cold jobs are the interval's last ones; the k-th
+                    # waits cold_delay[k].
+                    if cold:
+                        d[hi_j - cold:hi_j] += cold_delay[:cold]
+                    busy_seconds[g0 + j] = np.add.reduce(d[lo_j:hi_j])
+                if busy.size:
+                    makespan[g0 + busy] = np.maximum.reduceat(d, starts[busy])
+                g0 = g1
 
-        for i in range(n):
-            jobs = int(a[i])
-            warm = min(jobs, int(p[i]))
-            cold = jobs - warm
-            if jobs == 0:
-                # Idle interval: surplus VMs still cost for the full interval.
-                vm_seconds += float(p[i]) * spec.job_seconds
-                if trace:
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        if len(spans) == 1:
+            block(*spans[0])
+        else:
+            with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+                list(pool.map(lambda span: block(*span), spans))
+
+        # np.mean's own division: the sum over the job count.
+        np.divide(busy_seconds, a, out=turnaround, where=a > 0)
+
+        # Paid VM time, folded left in interval order: every used VM for
+        # its job (+startup for cold), then idle surplus for a nominal
+        # job-length lease (an idle interval adds only the latter).
+        paid = np.empty(2 * n + 1)
+        paid[0] = 0.0
+        paid[1::2] = busy_seconds
+        paid[2::2] = over * spec.job_seconds
+        vm_seconds = float(np.add.accumulate(paid)[-1])
+
+        # Per-step scaling-decision telemetry costs nothing when no event
+        # sink is registered.
+        if _events.enabled():
+            for i in range(n):
+                jobs = int(a[i])
+                if jobs == 0:
                     _events.emit(
                         "autoscale.step", interval=i, arrivals=0,
                         provisioned=int(p[i]), cold_starts=0,
                         idle_vms=int(p[i]), turnaround_s=0.0,
                     )
-                continue
-            durations = spec.job_seconds * (
-                1.0
-                + spec.job_jitter_frac * (2.0 * rng.uniform(size=jobs) - 1.0)
-            )
-            completion = durations.copy()
-            if cold > 0:
-                # Cold jobs wait for a throttled on-demand startup wave:
-                # the k-th cold VM becomes ready after
-                # (1 + k // max_concurrent) startup rounds.
-                waves = 1 + np.arange(cold) // spec.max_concurrent_startups
-                completion[warm:] += spec.startup_seconds * waves
-            turnaround[i] = float(np.mean(completion))
-            makespan[i] = float(np.max(completion))
-            # Paid VM time: every used VM for its job (+startup for cold),
-            # plus idle surplus for a nominal job-length lease.
-            vm_seconds += float(np.sum(completion))
-            vm_seconds += float(over[i]) * spec.job_seconds
-            if trace:
+                    continue
                 _events.emit(
                     "autoscale.step", interval=i, arrivals=jobs,
-                    provisioned=int(p[i]), cold_starts=cold,
+                    provisioned=int(p[i]), cold_starts=int(under[i]),
                     idle_vms=int(over[i]), turnaround_s=turnaround[i],
                     makespan_s=makespan[i],
                 )

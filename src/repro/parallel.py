@@ -41,6 +41,7 @@ R = TypeVar("R")
 
 __all__ = [
     "parallel_map",
+    "available_cpus",
     "effective_workers",
     "chunk_indices",
     "SharedArray",
@@ -52,16 +53,29 @@ __all__ = [
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on.
+
+    A pinned or cpuset-limited process sees fewer CPUs in its affinity
+    mask than ``os.cpu_count()`` reports for the machine; sizing pools
+    by the latter oversubscribes the CPUs it actually has.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def effective_workers(n_workers: int | None = None) -> int:
     """Resolve the worker count.
 
-    ``None`` means "use all cores", honouring :data:`MAX_WORKERS_ENV`.
+    ``None`` means "use all available cores" (:func:`available_cpus`),
+    honouring :data:`MAX_WORKERS_ENV`.
     Values below 1 are clamped to 1 (serial); a malformed or sub-serial
     env cap is clamped with a ``repro.parallel`` warning rather than
     silently forcing a surprise serial run.
     """
     cap_text = os.environ.get(MAX_WORKERS_ENV)
-    cpu = os.cpu_count() or 1
+    cpu = available_cpus()
     if n_workers is None:
         n_workers = cpu
     if cap_text is not None:
@@ -259,7 +273,7 @@ def parallel_map(
     data = list(items)
     workers = effective_workers(n_workers)
     _metrics.gauge("parallel.workers_requested").set(
-        float(n_workers if n_workers is not None else (os.cpu_count() or 1))
+        float(n_workers if n_workers is not None else available_cpus())
     )
     if workers <= 1 or len(data) < 2:
         _metrics.gauge("parallel.workers_effective").set(1.0)

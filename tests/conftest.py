@@ -3,12 +3,55 @@
 Everything is seeded: tests must be bit-for-bit reproducible run to run.
 Series fixtures are deliberately short — unit tests exercise code paths,
 not paper-scale accuracy (that is what ``benchmarks/`` is for).
+
+Bit-for-bit results assume one BLAS thread (DESIGN.md §13): a threaded
+BLAS reorders floating-point sums, which moves the GP fits the BO
+fixture pins.  The pin below runs before numpy is imported here, and
+also reaches any OpenBLAS a plugin already loaded.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import ctypes
+import os
+
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """One BLAS thread: via the environment for libraries not yet loaded,
+    via OpenBLAS's own setter for those already mapped in."""
+    for var in _BLAS_THREAD_VARS:
+        os.environ[var] = "1"
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return
+    for path in sorted(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone, e.g. "(deleted)"
+            continue
+        for sym in _OPENBLAS_SETTERS:
+            setter = getattr(lib, sym, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+_pin_blas_threads()
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from repro.parallel import (
     MAX_WORKERS_ENV,
     SharedArray,
     as_ndarray,
+    available_cpus,
     chunk_indices,
     effective_workers,
     parallel_map,
@@ -66,6 +67,28 @@ class TestChunkIndices:
 class TestEffectiveWorkers:
     def test_none_uses_cpu_count(self):
         assert effective_workers(None) >= 1
+
+    def test_counts_affinity_mask_not_machine(self, monkeypatch):
+        """A process pinned to 2 of 16 CPUs must not size pools for 16."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        assert available_cpus() == 2
+        assert effective_workers(None) == 2
+        assert effective_workers(8) == 2
+
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.delenv(MAX_WORKERS_ENV, raising=False)
+        assert available_cpus() == 3
+        assert effective_workers(None) == 3
+
+    def test_workers_gauge_uses_available_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        parallel_map(_square, [1, 2, 3])
+        assert _metrics.gauge("parallel.workers_requested").value == 1.0
 
     def test_clamped_to_one(self):
         assert effective_workers(0) == 1
