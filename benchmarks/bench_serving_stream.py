@@ -36,6 +36,15 @@ the monitoring PR must not regress:
    at **<= 10%** throughput (asserted in full mode).  Also records the
    chunked runtime's own rate, ``bench.serving.chunked_intervals_per_s``.
 
+5. **Controlled checkpoint cost** (``test_controlled_checkpoint_cost``):
+   the chunked run again, now with the
+   :class:`~repro.autoscale.controller.HybridController` a production
+   stream runs with, whose decision log grows by one row per interval.
+   Each checkpoint appends only the rows, intervals and state that are
+   new, so ``bench.serving.checkpoint_ms`` (median per-checkpoint
+   wall-clock) must not grow with the stream: the last quarter of the
+   checkpoints may cost at most **2x** the first quarter (medians).
+
 Every measurement is recorded under ``bench.serving.*`` and dumped to
 ``BENCH_serving.json`` — the artifact future serving/monitoring PRs
 diff against.  Set ``REPRO_BENCH_QUICK=1`` for the CI smoke run (small
@@ -53,14 +62,16 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.autoscale import CloudSimulator
+from repro.autoscale import CloudSimulator, HybridController
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for
 from repro.obs import metrics as _metrics
 from repro.obs.monitor import ForecastMonitor, SLOTracker
 from repro.serving import (
     GuardedPredictor,
     StreamConfig,
+    StreamingServer,
     TraceSanitizer,
+    chunk_stream,
     serve_and_simulate,
 )
 from repro.baselines.naive import LastValuePredictor
@@ -290,6 +301,52 @@ def test_chunked_checkpoint_overhead(tmp_path):
             f"checkpointing cost {overhead_pct:.1f}% of chunked serving "
             "(budget: 10%)"
         )
+
+
+def test_controlled_checkpoint_cost(tmp_path):
+    """Per-checkpoint cost is O(new intervals), not O(intervals served)."""
+    n = 20_000 if QUICK else 200_000
+    raw = _synthetic_trace(n, seed=37)
+    start = min(2_000, n // 10)
+    cfg = StreamConfig(
+        chunk_size=64 if QUICK else 256, seed=3, checkpoint_every=10,
+        checkpoint_dir=str(tmp_path / "ckpt"),
+    )
+    server = StreamingServer(
+        GuardedPredictor(LastValuePredictor()), raw[:start], config=cfg,
+        sanitizer=TraceSanitizer(policy="interpolate"),
+        monitor=ForecastMonitor(
+            slo=SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)
+        ),
+        controller=HybridController(),
+    )
+    costs: list[float] = []
+    checkpoint = server._checkpoint
+
+    def timed_checkpoint():
+        t0 = time.perf_counter()
+        checkpoint()
+        costs.append(time.perf_counter() - t0)
+
+    server._checkpoint = timed_checkpoint
+    report = server.run(chunk_stream(raw[start:], config=cfg))
+
+    assert report.stream["intervals"] == n - start
+    assert report.controller["n_decisions"] == report.stream["served_intervals"]
+    assert len(costs) == report.stream["checkpoints_written"] >= 20
+    ms = np.asarray(costs) * 1e3
+    # Medians of the first and last quarter: a single checkpoint is a
+    # few ms, and one fsync or scheduler hiccup would swamp it.
+    q = ms.size // 4
+    first, last = float(np.median(ms[:q])), float(np.median(ms[-q:]))
+    obs.gauge("bench.serving.checkpoint_ms").set(float(np.median(ms)))
+    print(f"\n[serving-stream] controlled checkpoints: {ms.size} written, "
+          f"median {np.median(ms):.2f} ms (first {first:.2f} ms, "
+          f"last {last:.2f} ms)")
+    assert last <= 2.0 * first, (
+        f"checkpoint cost grew with the stream: {first:.2f} ms -> "
+        f"{last:.2f} ms (budget: 2x)"
+    )
 
 
 def test_monitor_overhead():

@@ -134,6 +134,7 @@ for gauge in ("bench.serving.stream_intervals_per_s",
               "bench.serving.chunked_intervals_per_s",
               "bench.serving.cloudsim_jobs_per_s",
               "bench.serving.checkpoint_overhead_pct",
+              "bench.serving.checkpoint_ms",
               "bench.serving.monitor_overhead_pct",
               "bench.serving.predict_p50_ms",
               "bench.serving.predict_p99_ms"):

@@ -206,6 +206,21 @@ class Decision:
     forecast: float = math.nan
     correction: float = 0.0
 
+    def to_row(self) -> list:
+        """JSON-serializable 7-field row, the decision-log wire format."""
+        return [self.vms, self.decided_by, self.target, list(self.rails),
+                self.burst, self.forecast, self.correction]
+
+    @classmethod
+    def from_row(cls, row) -> "Decision":
+        """Inverse of :meth:`to_row`."""
+        vms, tag, target, rails, burst, forecast, correction = row
+        return cls(
+            vms=int(vms), decided_by=str(tag), target=float(target),
+            rails=tuple(str(r) for r in rails), burst=bool(burst),
+            forecast=float(forecast), correction=float(correction),
+        )
+
 
 class HybridController:
     """Stateful closed-loop controller: one :meth:`step` per interval.
@@ -361,10 +376,10 @@ class HybridController:
 
     # ------------------------------------------------------------------
     def _positive_error_quantile(self, q: float) -> float:
-        pos = [e for e in self._errors if e > 0.0]
+        pos = sorted(e for e in self._errors if e > 0.0)
         if not pos:
             return 0.0
-        return float(np.quantile(np.asarray(pos, dtype=np.float64), q))
+        return _linear_quantile(pos, q)
 
     def _reactive_target(self, history: np.ndarray) -> float | None:
         """Generalized reactive rule, or ``None`` when the signal is dead."""
@@ -511,19 +526,27 @@ class HybridController:
     def state_dict(self) -> dict:
         """JSON-serializable mutable control-loop state.
 
-        Captures the full decision log (with provenance), the corrector
-        terms, the burst latch, the rail/cooldown bookkeeping, and — when
-        the attached drift detector supports it — the detector's state.
-        Loading the same detector state twice (here and via a
+        The full decision log (with provenance, as :meth:`Decision.to_row`
+        rows) plus :meth:`control_state_dict`.  Loading the same detector
+        state twice (here and via a
         :class:`~repro.obs.monitor.monitor.ForecastMonitor` sharing the
         instance) is idempotent, so shared detectors stay consistent.
         """
+        return {
+            "decisions": [d.to_row() for d in self.decisions],
+            **self.control_state_dict(),
+        }
+
+    def control_state_dict(self) -> dict:
+        """The bounded part of :meth:`state_dict`: everything but the log.
+
+        Corrector terms, burst latch, rail/cooldown bookkeeping, tallies,
+        and — when the attached drift detector supports it — the
+        detector's state.  Its size does not grow with the number of
+        decisions, so a caller that persists the log incrementally (the
+        streaming checkpoint appends rows to a sidecar) pays O(1) here.
+        """
         out: dict = {
-            "decisions": [
-                [d.vms, d.decided_by, d.target, list(d.rails), d.burst,
-                 d.forecast, d.correction]
-                for d in self.decisions
-            ],
             "decided_by": dict(self.decided_by),
             "rail_hits": dict(self.rail_hits),
             "burst": self.burst,
@@ -555,15 +578,7 @@ class HybridController:
                 f"{len(errors)} saved errors exceed error_window "
                 f"{cfg.error_window}"
             )
-        self.decisions = [
-            Decision(
-                vms=int(vms), decided_by=str(tag), target=float(target),
-                rails=tuple(str(r) for r in rails), burst=bool(burst),
-                forecast=float(forecast), correction=float(correction),
-            )
-            for vms, tag, target, rails, burst, forecast, correction
-            in state["decisions"]
-        ]
+        self.decisions = [Decision.from_row(row) for row in state["decisions"]]
         self.decided_by = {str(k): int(v) for k, v in state["decided_by"].items()}
         self.rail_hits = {str(k): int(v) for k, v in state["rail_hits"].items()}
         self.burst = bool(state["burst"])
@@ -660,6 +675,25 @@ class HybridPolicy:
             )
             out[j] = self.controller.step(forecast, history).vms
         return out
+
+
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """``np.quantile(ordered, q)`` (method ``"linear"``), bit for bit.
+
+    ``ordered`` is a sorted non-empty list.  Same virtual index, same
+    bracketing pair and the same two-sided lerp as numpy's, without its
+    ~50 us of array setup — a cost that dominated the headroom term on
+    lists no longer than ``error_window``.
+    """
+    n = len(ordered)
+    v = (n - 1) * q
+    if v >= n - 1:
+        return ordered[-1]
+    i = math.floor(v)
+    a, b = ordered[i], ordered[i + 1]
+    g = v - i
+    d = b - a
+    return b - d * (1 - g) if g >= 0.5 else a + d * g
 
 
 def _guarded_forecast(predictor: Predictor, history: np.ndarray, refit: bool) -> float:

@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="checkpoint every K processed chunks (default 100; "
                            "0 = final checkpoint only)")
     strm.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                      help="where checkpoint.json and the .f64 sidecars live "
+                      help="where checkpoint.json and its sidecars live "
                            "(default: no checkpointing)")
     strm.add_argument("--resume", action="store_true",
                       help="restore from --checkpoint-dir and continue the "

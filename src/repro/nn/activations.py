@@ -28,7 +28,8 @@ _CLIP = 60.0
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Element-wise logistic sigmoid, stable for large |x|."""
-    z = np.clip(x, -_CLIP, _CLIP)
+    # ndarray.clip is what np.clip calls, minus two Python wrappers.
+    z = np.asarray(x).clip(-_CLIP, _CLIP)
     return 1.0 / (1.0 + np.exp(-z))
 
 

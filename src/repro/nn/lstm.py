@@ -73,7 +73,7 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
     operands — only the destination differs, so results are identical
     to the out-of-place version to the last bit.
     """
-    np.clip(z, -60.0, 60.0, out=z)
+    z.clip(-60.0, 60.0, out=z)
     np.negative(z, out=z)
     np.exp(z, out=z)
     z += 1.0
@@ -295,7 +295,7 @@ class LSTMLayer:
         # Hot loop: ufuncs hoisted to locals and ``out`` passed
         # positionally — at these array sizes (a few KB per step) the
         # numpy dispatch overhead is a measurable share of each step.
-        mul, mm, add, clip = np.multiply, np.matmul, np.add, np.clip
+        mul, mm, add = np.multiply, np.matmul, np.add
         neg, exp, div, tanh = np.negative, np.exp, np.divide, np.tanh
         z, a, g, tmp = s.z, s.a, s.g, s.tmp
         zsig, zg, ai, af, ao = s.zsig, s.zg, s.ai, s.af, s.ao
@@ -316,7 +316,9 @@ class LSTMLayer:
             # strided (B, 3H) slice of z and lands in the contiguous
             # buffer ``a``; the remaining four passes run contiguous
             # (2-3x faster than strided — same values either way).
-            clip(zsig, -60.0, 60.0, a)
+            # The method runs np.clip's own ufunc, minus the two
+            # Python wrapper layers np.clip adds on every call.
+            zsig.clip(-60.0, 60.0, out=a)
             neg(a, a)
             exp(a, a)
             add(a, 1.0, a)

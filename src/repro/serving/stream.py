@@ -27,9 +27,12 @@ and the serving process itself can be killed between any two of them.
   load-shed counters;
 * **crash-safe resume** — every ``checkpoint_every`` chunks the server
   appends the new schedule/actual intervals to fsynced ``.f64`` sidecars
-  and atomically replaces ``checkpoint.json`` (tmp + fsync +
-  ``os.replace``, the :func:`repro.nn.serialization.save_regressor`
-  discipline) holding the ``state_dict()`` of every stateful component.
+  and the new controller decisions to ``decisions.jsonl``, then
+  atomically replaces ``checkpoint.json`` (tmp + fsync + ``os.replace``,
+  the :func:`repro.nn.serialization.save_regressor` discipline) holding
+  the bounded state of every stateful component.  Each checkpoint
+  writes only what is new since the last one, and ``checkpoint.json``
+  does not grow with the length of the stream.
   After a kill, :meth:`StreamingServer.restore` + a replay of the same
   chunk source produce a **bit-for-bit identical** provisioning schedule
   and :class:`~repro.serving.online.ServingReport` — asserted by
@@ -85,15 +88,17 @@ logger = get_logger("serving.stream")
 #: Version stamp written into every ``checkpoint.json``; a mismatch on
 #: restore is a typed :class:`CheckpointError`, never a silent
 #: misinterpretation of old state.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 _CHECKPOINT_FILE = "checkpoint.json"
-#: Append-only raw-float64 sidecars holding the served intervals; they
-#: are fsynced *before* the checkpoint replace, and the checkpoint
-#: records how many entries are valid, so a torn tail from a crash
-#: mid-append is simply ignored on restore.
+#: Append-only sidecars: raw float64 for the served intervals, one JSON
+#: row (:meth:`~repro.autoscale.controller.Decision.to_row`) per line
+#: for the controller's decision log.  They are fsynced *before* the
+#: checkpoint replace, and the checkpoint records how much of each is
+#: valid, so a torn tail from a crash mid-append is ignored on restore.
 _SCHEDULE_FILE = "schedule.f64"
 _ACTUALS_FILE = "actuals.f64"
+_DECISIONS_FILE = "decisions.jsonl"
 
 
 class CheckpointError(Exception):
@@ -101,8 +106,9 @@ class CheckpointError(Exception):
 
     Raised for unreadable/corrupt ``checkpoint.json``, a schema-version
     mismatch, an identity mismatch (the resuming server is configured
-    differently from the one that wrote the checkpoint), or a replayed
-    chunk source whose chunk boundaries straddle the resume cursor.
+    differently from the one that wrote the checkpoint), a sidecar
+    shorter than the checkpoint claims, or a replayed chunk source whose
+    chunk boundaries straddle the resume cursor.
     """
 
 
@@ -172,8 +178,8 @@ class StreamConfig:
         disables periodic checkpoints; a final one is still written
         when a ``checkpoint_dir`` is configured).
     checkpoint_dir:
-        Where ``checkpoint.json`` and the ``.f64`` sidecars live;
-        ``None`` disables checkpointing.
+        Where ``checkpoint.json`` and its sidecars live; ``None``
+        disables checkpointing.
     resume:
         Restore from ``checkpoint_dir`` before serving (missing
         checkpoint = fresh start, so a crash before the first
@@ -270,6 +276,36 @@ def chunk_stream(
         offset = end
 
 
+def _append_sidecar(path: Path, base: int, data) -> None:
+    """Write ``data`` at byte ``base`` of an append-only sidecar, fsynced.
+
+    Any torn/stale tail beyond the durable prefix ``base`` is dropped
+    first, so the file always equals the prefix the next checkpoint
+    will claim.
+    """
+    mode = "r+b" if path.exists() else "w+b"
+    with open(path, mode) as fh:
+        fh.truncate(base)
+        fh.seek(base)
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
+def _read_sidecar(path: Path, nbytes: int) -> bytes:
+    """The durable ``nbytes`` prefix of a sidecar; any tail is ignored."""
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"unreadable sidecar {path}: {exc}") from exc
+    if len(blob) < nbytes:
+        raise CheckpointError(
+            f"sidecar {path} holds {len(blob)} bytes, checkpoint claims "
+            f"{nbytes}"
+        )
+    return blob[:nbytes]
+
+
 class StreamingServer:
     """Serve a chunked feed with quarantine, degradation, and checkpoints.
 
@@ -342,6 +378,9 @@ class StreamingServer:
         self._n = 0
         #: Sidecar entries durably on disk (== entries the checkpoint covers).
         self._sidecar_n = 0
+        #: Decision-log rows and bytes durably in ``decisions.jsonl``.
+        self._log_rows = 0
+        self._log_bytes = 0
 
         last = float(init[-1])
         self._last_clean = last if math.isfinite(last) else 0.0
@@ -679,25 +718,22 @@ class StreamingServer:
             "controlled": self.controller is not None,
         }
 
-    def _append_sidecar(self, path: Path, buf: np.ndarray) -> None:
-        new = buf[self._sidecar_n : self._n]
-        base = self._sidecar_n * 8
-        mode = "r+b" if path.exists() else "w+b"
-        with open(path, mode) as fh:
-            # Drop any torn/stale tail beyond the durable prefix before
-            # appending, so file contents always equal the buffer prefix.
-            fh.truncate(base)
-            fh.seek(base)
-            fh.write(new.tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _checkpoint(self) -> None:
         d = Path(self.config.checkpoint_dir)
         d.mkdir(parents=True, exist_ok=True)
-        self._append_sidecar(d / _SCHEDULE_FILE, self._sched_buf)
-        self._append_sidecar(d / _ACTUALS_FILE, self._act_buf)
-        self._sidecar_n = self._n
+        done, n = self._sidecar_n, self._n
+        _append_sidecar(d / _SCHEDULE_FILE, done * 8, self._sched_buf[done:n])
+        _append_sidecar(d / _ACTUALS_FILE, done * 8, self._act_buf[done:n])
+        self._sidecar_n = n
+        controller = self.controller
+        if controller is not None:
+            new = controller.decisions[self._log_rows :]
+            rows = "".join(
+                json.dumps(dec.to_row()) + "\n" for dec in new
+            ).encode()
+            _append_sidecar(d / _DECISIONS_FILE, self._log_bytes, rows)
+            self._log_rows += len(new)
+            self._log_bytes += len(rows)
 
         self._checkpoints_written += 1
         self._c_ckpt.inc()
@@ -710,8 +746,8 @@ class StreamingServer:
                 self.monitor.state_dict() if self.monitor is not None else None
             ),
             "controller": (
-                self.controller.state_dict()
-                if self.controller is not None else None
+                controller.control_state_dict()
+                if controller is not None else None
             ),
         }
         w = self.config.history_window
@@ -750,13 +786,18 @@ class StreamingServer:
             "history": {"hex": tail.tobytes().hex()},
             "components": components,
             "counters": counters,
-            "sidecar": {"n": self._n},
+            "sidecar": {
+                "n": self._n,
+                "decision_rows": self._log_rows,
+                "decision_bytes": self._log_bytes,
+            },
         }
         path = d / _CHECKPOINT_FILE
         tmp = d / (_CHECKPOINT_FILE + ".tmp")
         try:
             with open(tmp, "w") as fh:
-                json.dump(state, fh)
+                # json.dumps runs the C encoder; json.dump never does.
+                fh.write(json.dumps(state))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -809,27 +850,37 @@ class StreamingServer:
                 f"{path}"
             )
 
-        n = int(state["sidecar"]["n"])
+        sidecars = state["sidecar"]
+        n = int(sidecars["n"])
         self._reserve(max(0, n - self._n))
         for fname, buf in (
             (_SCHEDULE_FILE, self._sched_buf),
             (_ACTUALS_FILE, self._act_buf),
         ):
-            sidecar = d / fname
-            try:
-                blob = sidecar.read_bytes()
-            except OSError as exc:
-                raise CheckpointError(
-                    f"unreadable sidecar {sidecar}: {exc}"
-                ) from exc
-            if len(blob) < n * 8:
-                raise CheckpointError(
-                    f"sidecar {sidecar} holds {len(blob) // 8} intervals, "
-                    f"checkpoint claims {n}"
-                )
-            buf[:n] = np.frombuffer(blob[: n * 8], dtype=np.float64)
+            blob = _read_sidecar(d / fname, n * 8)
+            buf[:n] = np.frombuffer(blob, dtype=np.float64)
         self._n = n
         self._sidecar_n = n
+
+        rows_n = int(sidecars["decision_rows"])
+        nbytes = int(sidecars["decision_bytes"])
+        rows: list = []
+        if rows_n:
+            sidecar = d / _DECISIONS_FILE
+            lines = _read_sidecar(sidecar, nbytes).splitlines()
+            try:
+                rows = [json.loads(line) for line in lines]
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"corrupt sidecar {sidecar}: {exc}"
+                ) from exc
+            if len(rows) != rows_n:
+                raise CheckpointError(
+                    f"sidecar {sidecar} holds {len(rows)} decisions, "
+                    f"checkpoint claims {rows_n}"
+                )
+        self._log_rows = rows_n
+        self._log_bytes = nbytes
 
         hist = np.frombuffer(
             bytes.fromhex(state["history"]["hex"]), dtype=np.float64
@@ -870,7 +921,9 @@ class StreamingServer:
         if self.monitor is not None:
             self.monitor.load_state_dict(components["monitor"])
         if self.controller is not None:
-            self.controller.load_state_dict(components["controller"])
+            self.controller.load_state_dict(
+                {**components["controller"], "decisions": rows}
+            )
 
         # Counters are monotonic, so restoration is by delta: in a fresh
         # process every counter starts at 0 and lands exactly on the

@@ -308,6 +308,38 @@ class TestHybridPolicy:
             HybridPolicy(LastValuePredictor()).schedule(np.ones(5), 0)
 
 
+class TestHeadroomQuantile:
+    """The controller's hand-rolled lerp must be np.quantile, bitwise."""
+
+    @given(
+        st.lists(
+            st.floats(0.0, 1e6, exclude_min=True, allow_subnormal=True),
+            min_size=1, max_size=64,
+        ),
+        st.one_of(st.sampled_from([0.0, 0.75, 0.95, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_linear_quantile_bitwise(self, values, q):
+        from repro.autoscale.controller import _linear_quantile
+
+        expect = float(np.quantile(np.asarray(values, dtype=np.float64), q))
+        got = _linear_quantile(sorted(values), q)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+    @given(
+        st.lists(st.floats(-500.0, 500.0), min_size=0, max_size=64),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_positive_error_quantile_matches_numpy(self, errors, q):
+        c = HybridController()
+        c._errors.extend(errors)
+        pos = [e for e in c._errors if e > 0.0]
+        expect = float(np.quantile(np.asarray(pos), q)) if pos else 0.0
+        got = c._positive_error_quantile(q)
+        assert np.float64(got).tobytes() == np.float64(expect).tobytes()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",

@@ -46,6 +46,54 @@ class TestSigmoid:
         np.testing.assert_allclose(ana, num, atol=1e-8)
 
 
+class TestClipForm:
+    """The hot loops call ``ndarray.clip``; it must *be* np.clip, bitwise."""
+
+    SPECIAL = np.array([
+        np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 60.0, -60.0,
+        np.nextafter(60.0, np.inf), np.nextafter(-60.0, -np.inf),
+        5e-324, -5e-324, 1e308, -1e308,
+    ])
+
+    @staticmethod
+    def _method(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        x.clip(-60.0, 60.0, out=out)
+        return out
+
+    def test_special_values_bitwise(self):
+        expect = np.clip(self.SPECIAL, -60.0, 60.0)
+        assert self._method(self.SPECIAL).tobytes() == expect.tobytes()
+
+    @given(arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    @settings(max_examples=100, deadline=None)
+    def test_random_arrays_bitwise(self, x):
+        assert (
+            self._method(x).tobytes()
+            == np.clip(x, -60.0, 60.0).tobytes()
+        )
+
+    def test_strided_source_bitwise(self, rng):
+        z = rng.normal(0.0, 100.0, (8, 40))
+        z[0, :3] = [np.nan, -0.0, np.inf]
+        src = z[:, :30]  # the strided gate block forward_inference reads
+        assert (
+            self._method(src).tobytes()
+            == np.clip(src, -60.0, 60.0).tobytes()
+        )
+
+    def test_sigmoids_match_clip_reference(self, rng):
+        from repro.nn.lstm import _sigmoid_inplace
+
+        x = np.concatenate([self.SPECIAL, rng.normal(0.0, 80.0, 500)])
+        ref = 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
+        assert sigmoid(x).tobytes() == ref.tobytes()
+        z = x.copy()
+        _sigmoid_inplace(z)
+        assert z.tobytes() == ref.tobytes()
+
+
 class TestTanh:
     def test_derivative_matches_numeric(self):
         x = np.linspace(-3, 3, 31)

@@ -546,12 +546,17 @@ class TestCheckpointResume:
         trace = _diurnal(2500)
         ref = _stream_run(trace, 1500, ckpt=str(tmp_path / "ref"),
                           controller=True)
-        with pytest.raises(_faults.SimulatedCrash):
-            _stream_run(trace, 1500, ckpt=str(tmp_path / "crash"),
-                        controller=True, faults="kill@stream.chunk:10")
-        resumed = _stream_run(trace, 1500, ckpt=str(tmp_path / "crash"),
-                              controller=True, resume=True)
-        assert _report_fingerprint(resumed) == _report_fingerprint(ref)
+        # Chunk k+1 is pulled after k chunks were processed, and
+        # checkpoint_every=5: kill 10 lands 4 chunks past a checkpoint,
+        # kill 11 right after one.
+        for kill_at in (10, 11):
+            ckpt = str(tmp_path / f"crash{kill_at}")
+            with pytest.raises(_faults.SimulatedCrash):
+                _stream_run(trace, 1500, ckpt=ckpt, controller=True,
+                            faults=f"kill@stream.chunk:{kill_at}")
+            resumed = _stream_run(trace, 1500, ckpt=ckpt, controller=True,
+                                  resume=True)
+            assert _report_fingerprint(resumed) == _report_fingerprint(ref)
 
     def test_crash_before_first_checkpoint_restarts_fresh(self, tmp_path):
         trace = _diurnal(2000)
@@ -572,13 +577,15 @@ class TestCheckpointResume:
 
     def test_schema_mismatch_is_typed_error(self, tmp_path):
         trace = _diurnal(2000)
-        _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"))
+        _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"), controller=True)
         path = tmp_path / "ck" / "checkpoint.json"
-        state = json.loads(path.read_text())
-        state["schema"] = 99
-        path.write_text(json.dumps(state))
-        with pytest.raises(CheckpointError, match="schema"):
-            _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"), resume=True)
+        saved = json.loads(path.read_text())
+        # Schema 1 inlined the decision log: refused, not read.
+        for schema in (1, 99):
+            path.write_text(json.dumps({**saved, "schema": schema}))
+            with pytest.raises(CheckpointError, match=f"schema {schema}"):
+                _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"),
+                            controller=True, resume=True)
 
     def test_corrupt_checkpoint_is_typed_error(self, tmp_path):
         trace = _diurnal(2000)
@@ -596,11 +603,49 @@ class TestCheckpointResume:
 
     def test_truncated_sidecar_is_typed_error(self, tmp_path):
         trace = _diurnal(2000)
-        _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"))
-        sidecar = tmp_path / "ck" / "schedule.f64"
-        sidecar.write_bytes(sidecar.read_bytes()[:64])
-        with pytest.raises(CheckpointError, match="sidecar"):
-            _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"), resume=True)
+        for name in ("schedule.f64", "actuals.f64", "decisions.jsonl"):
+            ckpt = tmp_path / name
+            _stream_run(trace, 1000, ckpt=str(ckpt), controller=True)
+            sidecar = ckpt / name
+            sidecar.write_bytes(sidecar.read_bytes()[:64])
+            with pytest.raises(CheckpointError, match="sidecar"):
+                _stream_run(trace, 1000, ckpt=str(ckpt), controller=True,
+                            resume=True)
+
+    def test_torn_sidecar_tails_are_ignored(self, tmp_path):
+        """A crash mid-append leaves bytes past the claimed prefix."""
+        trace = _diurnal(2500)
+        ref = _stream_run(trace, 1500, ckpt=str(tmp_path / "ref"),
+                          controller=True)
+        ckpt = tmp_path / "crash"
+        with pytest.raises(_faults.SimulatedCrash):
+            _stream_run(trace, 1500, ckpt=str(ckpt), controller=True,
+                        faults="kill@stream.chunk:9")
+        with open(ckpt / "decisions.jsonl", "ab") as fh:
+            fh.write(b'[1, "proactive", 1.0, [], false, 1.0, 0.0]\n[7, "hyb')
+        for name in ("schedule.f64", "actuals.f64"):
+            with open(ckpt / name, "ab") as fh:
+                fh.write(b"\x00" * 11)
+        resumed = _stream_run(trace, 1500, ckpt=str(ckpt), controller=True,
+                              resume=True)
+        assert _report_fingerprint(resumed) == _report_fingerprint(ref)
+        state = json.loads((ckpt / "checkpoint.json").read_text())
+        assert (ckpt / "decisions.jsonl").stat().st_size == (
+            state["sidecar"]["decision_bytes"]
+        )
+
+    def test_checkpoint_size_independent_of_stream_length(self, tmp_path):
+        """checkpoint.json holds bounded state; the log lives in a sidecar."""
+        trace = _diurnal(4000)
+        sizes = {}
+        for served in (1000, 3000):
+            ckpt = tmp_path / f"ck{served}"
+            _stream_run(trace, trace.size - served, ckpt=str(ckpt),
+                        controller=True, history_window=256)
+            sizes[served] = (ckpt / "checkpoint.json").stat().st_size
+            rows = (ckpt / "decisions.jsonl").read_bytes().splitlines()
+            assert len(rows) == served
+        assert abs(sizes[3000] - sizes[1000]) < 1024, sizes
 
     def test_resume_without_checkpoint_dir_is_typed_error(self):
         server = StreamingServer(
