@@ -19,7 +19,8 @@ the monitoring PR must not regress:
    ``serve_and_simulate`` over the same trace.  Budget: **<= 10%**
    (asserted in full mode; quick mode only validates the harness).
 3. **Steady-state pipeline rate** (``test_pipeline_throughput``): the
-   trace arrives in chunks, as it would from a metrics scraper — each
+   trace arrives in chunks, as it would from a metrics scraper, into
+   the production :class:`~repro.serving.stream.StreamingServer` — each
    chunk is sanitized on arrival, every revealed interval is served
    through the guard and scored by the monitor, and the full schedule
    replays through the cloud simulator at the end.  The headline
@@ -62,7 +63,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.autoscale import CloudSimulator, HybridController
+from repro.autoscale import HybridController
 from repro.core import FrameworkSettings, LoadDynamics, search_space_for
 from repro.obs import metrics as _metrics
 from repro.obs.monitor import ForecastMonitor, SLOTracker
@@ -176,11 +177,12 @@ def test_pipeline_throughput():
     """Chunked streaming through the whole stack, steady-state rate.
 
     Unlike ``test_stream_throughput`` (one bulk sanitize, then a serve
-    pass), this drives the pipeline the way an online deployment runs
-    it: per-chunk sanitization interleaved with per-interval guarded
-    prediction and monitor scoring, simulator replay at the end.  The
-    first serving chunk is warmup (guard fit, allocator and cache
-    cold-start) and is excluded from the steady-state rate.
+    pass), this drives the production :class:`StreamingServer` the way
+    an online deployment runs it: per-chunk sanitization interleaved
+    with per-interval guarded prediction and monitor scoring, simulator
+    replay at the end, no checkpoints.  A chunk's time runs from its pull
+    to the next pull; the first chunk is warmup (guard fit, allocator
+    and cache cold-start) and is excluded from the steady-state rate.
     """
     raw = _synthetic_trace(N_STREAM, seed=23)
     start = min(2_000, N_STREAM // 10)
@@ -188,63 +190,47 @@ def test_pipeline_throughput():
     perf = time.perf_counter
 
     sanitizer = TraceSanitizer(policy="interpolate")
-    guarded = GuardedPredictor(LastValuePredictor())
-    monitor = ForecastMonitor(
-        slo=SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)
+    warmup, _ = sanitizer.sanitize(raw[:start])
+    config = StreamConfig(chunk_size=chunk_size, checkpoint_dir=None)
+    server = StreamingServer(
+        GuardedPredictor(LastValuePredictor()), warmup, config=config,
+        sanitizer=sanitizer,
+        # Streams are scored untimed, so only the accuracy SLO applies.
+        monitor=ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=50.0)),
+        refit_every=10**9,
     )
+    pulls: list[float] = []
+    sizes: list[int] = []
 
-    clean = np.empty(N_STREAM)
-    preds = np.empty(N_STREAM - start)
-    n_repaired = 0
-    j = 0
-    #: ``(intervals served, seconds)`` per chunk that served any.
-    serve_chunks: list[tuple[int, float]] = []
-    for c0 in range(0, N_STREAM, chunk_size):
-        c1 = min(c0 + chunk_size, N_STREAM)
-        t0 = perf()
-        part, rep = sanitizer.sanitize(raw[c0:c1])
-        clean[c0:c1] = part
-        n_repaired += rep.n_repaired
-        lo = max(c0, start)
-        for i in range(lo, c1):
-            history = clean[:i]
-            if j == 0:
-                guarded.fit(history)
-            t_pred = perf()
-            p = guarded.predict_next(history)
-            latency = perf() - t_pred
-            if not np.isfinite(p):
-                last = float(history[-1])
-                p = last if np.isfinite(last) else 0.0
-            p = max(p, 0.0)
-            preds[j] = p
-            monitor.observe(p, float(clean[i]), latency_s=latency)
-            j += 1
-        if c1 > lo:
-            serve_chunks.append((c1 - lo, perf() - t0))
+    def timed(chunks):
+        for chunk in chunks:
+            pulls.append(perf())
+            sizes.append(chunk.values.size)
+            yield chunk
+        pulls.append(perf())
 
-    assert n_repaired > 0, "the planted NaN gaps must be repaired"
-    assert j == N_STREAM - start
-    assert monitor.drifted, "the planted regime shift must latch a detector"
+    report = server.run(timed(chunk_stream(raw[start:], config=config)))
+    simulate_s = perf() - pulls[-1]
 
-    t_sim = perf()
-    schedule = np.ceil(np.maximum(preds, 0.0))
-    result = CloudSimulator(seed=0).run(clean[start:], schedule)
-    simulate_s = perf() - t_sim
-    assert result.n_intervals == j
+    n_served = N_STREAM - start
+    assert report.stream["repaired_values"] > 0, \
+        "the planted NaN gaps must be repaired"
+    assert report.stream["served_intervals"] == n_served
+    assert report.drifted, "the planted regime shift must latch a detector"
+    result = report.result
+    assert result.n_intervals == n_served
     assert np.isfinite(result.underprovision_rate)
     sim_jobs = float(result.arrivals.sum())
 
-    steady = serve_chunks[1:] if len(serve_chunks) > 1 else serve_chunks
-    steady_n = sum(n for n, _ in steady)
-    steady_s = sum(s for _, s in steady)
-    ips = steady_n / steady_s
-    obs.gauge("bench.serving.pipeline_intervals").set(float(j))
+    chunk_s = np.diff(pulls)
+    steady = slice(1, None) if len(sizes) > 1 else slice(None)
+    ips = sum(sizes[steady]) / float(chunk_s[steady].sum())
+    obs.gauge("bench.serving.pipeline_intervals").set(float(n_served))
     obs.gauge("bench.serving.pipeline_intervals_per_s").set(ips)
     obs.gauge("bench.serving.pipeline_simulate_s").set(simulate_s)
     obs.gauge("bench.serving.cloudsim_jobs_per_s").set(sim_jobs / simulate_s)
-    print(f"\n[serving-stream] pipeline: {j:,} intervals, steady-state "
-          f"{ips:,.0f} intervals/s over {len(steady)} chunks "
+    print(f"\n[serving-stream] pipeline: {n_served:,} intervals, steady-state "
+          f"{ips:,.0f} intervals/s over {len(sizes[steady])} chunks "
           f"(simulate {simulate_s:.2f}s, {sim_jobs / simulate_s:,.0f} jobs/s)")
 
 

@@ -25,6 +25,12 @@ REPRO_MAX_WORKERS=1 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
 env -u REPRO_MAX_WORKERS PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m pytest -x -q tests/test_cloudsim_equivalence.py
 
+echo "== benchmark harness self-check (every workload path, tiny sizes) =="
+# perfbench traces serving entry points by name and reads controller and
+# checkpoint fields; a refactor that moves them fails here, not in a
+# benchmark run.
+python3 perfbench/run.py --selfcheck
+
 echo "== fault-injection smoke =="
 python scripts/fault_smoke.py
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.base import Predictor
+from repro.baselines.base import Predictor, bind_controller, walk
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
@@ -637,7 +637,9 @@ class HybridPolicy:
     A :class:`~repro.serving.guard.GuardedPredictor` primary wires its
     circuit breaker into the controller automatically (duck-typed via
     the predictor's ``breaker`` attribute), so an open breaker visibly
-    shifts ``decided_by`` to the reactive tier.
+    shifts ``decided_by`` to the reactive tier.  A 2-D ``(steps, D)``
+    trace walks into a multivariate predictor while the controller reads
+    the target channel, as in :func:`~repro.autoscale.policy.provisioning_schedule`.
     """
 
     def __init__(
@@ -653,28 +655,16 @@ class HybridPolicy:
         self.controller = (
             controller if controller is not None else HybridController(config)
         )
-        if self.controller.breaker is None:
-            self.controller.breaker = getattr(predictor, "breaker", None)
+        bind_controller(self.controller, predictor)
         self.refit_every = int(refit_every)
         self.name = f"hybrid[{predictor.name}]"
 
     def schedule(self, arrivals: np.ndarray, start: int) -> np.ndarray:
         """Decide VM counts for ``arrivals[start:]``, walking forward."""
-        a = np.asarray(arrivals, dtype=np.float64).ravel()
-        n = a.size
-        if not 0 < start <= n:
-            raise ValueError("start must be inside the arrivals series")
-        if self.refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
-        self.controller.reset()
-        out = np.empty(n - start)
-        for j, i in enumerate(range(start, n)):
-            history = a[:i]
-            forecast = _guarded_forecast(
-                self.predictor, history, refit=(j % self.refit_every == 0)
-            )
-            out[j] = self.controller.step(forecast, history).vms
-        return out
+        return walk(
+            self.predictor, arrivals, start,
+            refit_every=self.refit_every, controller=self.controller,
+        )[1]
 
 
 def _linear_quantile(ordered: list[float], q: float) -> float:
@@ -694,31 +684,3 @@ def _linear_quantile(ordered: list[float], q: float) -> float:
     g = v - i
     d = b - a
     return b - d * (1 - g) if g >= 0.5 else a + d * g
-
-
-def _guarded_forecast(predictor: Predictor, history: np.ndarray, refit: bool) -> float:
-    """One walk-forward forecast that degrades instead of raising.
-
-    A failing fit keeps the stale model; a failing/non-finite predict
-    returns NaN, which the controller treats as "forecast unavailable"
-    and routes to the reactive tier.  Simulated process crashes
-    (:class:`~repro.resilience.faults.SimulatedCrash`) still propagate.
-    """
-    from repro.resilience import faults as _faults
-
-    if refit:
-        try:
-            predictor.fit(history)
-        except _faults.SimulatedCrash:
-            raise
-        except Exception as exc:
-            _metrics.counter("autoscale.controller.fit_error").inc()
-            logger.warning("proactive fit failed (stale model serves): %s", exc)
-    try:
-        return float(predictor.predict_next(history))
-    except _faults.SimulatedCrash:
-        raise
-    except Exception as exc:
-        _metrics.counter("autoscale.controller.forecast_error").inc()
-        logger.warning("proactive forecast failed (reactive tier serves): %s", exc)
-        return math.nan

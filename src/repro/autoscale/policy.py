@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.base import Predictor, walk_forward
+from repro.baselines.base import Predictor, walk
 
 __all__ = [
     "PredictivePolicy",
@@ -36,19 +36,12 @@ def provisioning_schedule(
 ) -> np.ndarray:
     """Predicted VM counts for intervals ``start..end`` of ``arrivals``.
 
-    Each prediction uses only arrivals before the target interval
-    (walk-forward); results are rounded up to whole VMs.  The schedule
-    is validated finite before it reaches the simulator — the autoscaler
-    must never act on a non-finite forecast, whatever predictor
-    produced it.
+    The decisions of the open-loop :func:`~repro.baselines.base.walk`:
+    each prediction uses only arrivals before the target interval, a
+    non-finite one is rescued by persistence, and the result is rounded
+    up to whole VMs — so the schedule is always finite.
     """
-    preds = walk_forward(predictor, arrivals, start, refit_every=refit_every)
-    if not np.all(np.isfinite(preds)):
-        raise ValueError(
-            f"predictor {predictor.name!r} produced non-finite forecasts; "
-            "wrap it in repro.serving.GuardedPredictor for online use"
-        )
-    return np.ceil(np.maximum(preds, 0.0))
+    return walk(predictor, arrivals, start, refit_every=refit_every)[1]
 
 
 class PredictivePolicy:

@@ -15,22 +15,21 @@ Model-level observability hooks in here too: pass a
 every interval's forecast is scored the moment its actual is revealed —
 rolling accuracy, drift detection, and SLO/error-budget accounting ride
 along in one pass, and the resulting quality/drift/SLO/health sections
-land on the :class:`ServingReport`.  With ``monitor=None`` (the
-default) the pre-monitoring code path runs unchanged, so un-monitored
-serving output stays bit-for-bit identical.
+land on the :class:`ServingReport`.  Every variant — open or closed
+loop, monitored or not, batch or streamed — serves each interval with
+the one kernel :func:`repro.baselines.base.step`; a monitor only scores,
+it never changes a forecast.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.autoscale import CloudSimulator, SimulationResult, VMSpec, provisioning_schedule
-from repro.autoscale.controller import _guarded_forecast
-from repro.baselines.base import Predictor
+from repro.autoscale import CloudSimulator, SimulationResult, VMSpec
+from repro.baselines.base import Predictor, split_target, walk
 from repro.obs import metrics as _metrics
 from repro.serving.guard import GuardedPredictor
 
@@ -96,92 +95,54 @@ class ServingReport:
         return bool(self.drift) and any(d.get("drifted") for d in self.drift)
 
 
-def _monitored_walk(
+def serving_counters() -> dict[str, float]:
+    """Current values of every ``serving.*`` counter."""
+    return {
+        name: snap["value"]
+        for name, snap in _metrics.get_registry().snapshot(prefix="serving.").items()
+        if snap.get("kind") == "counter"
+    }
+
+
+def simulate_report(
     predictor: Predictor,
-    series: np.ndarray,
-    target: np.ndarray,
-    start: int,
-    refit_every: int,
-    monitor: "ForecastMonitor",
-) -> np.ndarray:
-    """Walk-forward with per-interval scoring and latency timing.
-
-    Produces exactly the predictions
-    :func:`repro.baselines.base.walk_forward` would (same fit cadence,
-    same persistence rescue, same non-negativity clip — regression-tested
-    against it), additionally timing each ``predict_next`` and feeding
-    the monitor the (forecast, revealed actual, latency) triple.
-
-    For a 2-D ``(steps, D)`` series the predictor sees the full
-    multivariate history while rescue/scoring read ``target`` (the
-    target channel; the series itself when 1-D).
-    """
-    n = int(series.shape[0])
-    if not 0 < start <= n:
-        raise ValueError(f"invalid start {start} for series of length {n}")
-    if refit_every < 1:
-        raise ValueError("refit_every must be >= 1")
-    perf_counter = time.perf_counter
-    preds = np.empty(n - start)
-    for j, i in enumerate(range(start, n)):
-        history = series[:i]
-        if j % refit_every == 0:
-            predictor.fit(history)
-        t0 = perf_counter()
-        p = predictor.predict_next(history)
-        latency = perf_counter() - t0
-        if not np.isfinite(p):
-            # Persistence rescue, identical to walk_forward's.
-            last = float(target[i - 1])
-            p = last if np.isfinite(last) else 0.0
-        p = max(p, 0.0)
-        preds[j] = p
-        monitor.observe(p, float(target[i]), latency_s=latency)
-    return preds
-
-
-def _controller_walk(
-    predictor: Predictor,
-    series: np.ndarray,
-    target: np.ndarray,
-    start: int,
-    refit_every: int,
-    controller: "HybridController",
+    actuals: np.ndarray,
+    schedule: np.ndarray,
+    *,
+    spec: VMSpec | None,
+    seed: int,
     monitor: "ForecastMonitor | None",
-) -> np.ndarray:
-    """Closed-loop walk: each revealed actual feeds the corrector.
+    controller: "HybridController | None",
+    stream: dict | None = None,
+) -> ServingReport:
+    """Replay ``schedule`` against ``actuals`` and assemble the report.
 
-    The controller owns degradation, so unlike the open-loop walks a
-    failing or non-finite forecast is *not* rescued here — it reaches
-    :meth:`HybridController.step` as NaN and routes the decision to the
-    reactive tier (visible in ``decided_by``, exactly as in offline
-    :class:`~repro.autoscale.controller.HybridPolicy` schedules).  The
-    emitted schedule is the controller's whole-VM decisions, rails and
-    burst included.  A monitor still scores only the *finite* forecasts
-    — decisions are not forecasts.
-
-    The predictor walks the full (possibly multivariate) ``series``;
-    the controller's reactive tier and the monitor read ``target``.
+    The schedule is checked finite here, in front of the simulator: the
+    autoscaler must never act on a non-finite decision.
     """
-    n = int(series.shape[0])
-    if not 0 < start <= n:
-        raise ValueError(f"invalid start {start} for series of length {n}")
-    if refit_every < 1:
-        raise ValueError("refit_every must be >= 1")
-    if controller.breaker is None:
-        controller.breaker = getattr(predictor, "breaker", None)
-    controller.reset()
-    perf_counter = time.perf_counter
-    schedule = np.empty(n - start)
-    for j, i in enumerate(range(start, n)):
-        history = series[:i]
-        t0 = perf_counter()
-        p = _guarded_forecast(predictor, history, refit=(j % refit_every == 0))
-        latency = perf_counter() - t0
-        if monitor is not None and np.isfinite(p):
-            monitor.observe(max(float(p), 0.0), float(target[i]), latency_s=latency)
-        schedule[j] = controller.step(p, target[:i]).vms
-    return schedule
+    if not np.all(np.isfinite(schedule)):
+        raise ValueError(
+            f"predictor {predictor.name!r} produced a non-finite schedule"
+        )
+    result = CloudSimulator(spec=spec, seed=seed).run(actuals, schedule)
+    report = ServingReport(
+        result=result,
+        schedule=schedule,
+        serving_counters=serving_counters(),
+        controller=controller.snapshot() if controller is not None else None,
+        stream=stream,
+    )
+    if isinstance(predictor, GuardedPredictor):
+        report.breaker_transitions = list(predictor.breaker.transitions)
+        report.breaker_state = predictor.breaker.state
+        report.served_by = dict(predictor.served_by)
+    if monitor is not None:
+        sections = monitor.report()
+        report.quality = sections["quality"]
+        report.drift = sections["drift"]
+        report.slo = sections["slo"]
+        report.health = sections["health"]
+    return report
 
 
 def serve_and_simulate(
@@ -200,14 +161,14 @@ def serve_and_simulate(
     """Walk ``predictor`` over ``arrivals[start:]`` and simulate the result.
 
     The predictor sees only the history prefix at each interval (no
-    lookahead); the schedule it produces is validated finite before the
-    simulator replays it — with a :class:`GuardedPredictor` in front
-    this holds even under injected serving faults.
+    lookahead), through :func:`repro.baselines.base.walk`.  Open-loop
+    fit/predict errors propagate, so put a :class:`GuardedPredictor` in
+    front to serve through injected faults.
 
     ``monitor`` attaches online forecast-quality monitoring: each
     interval is scored as it is revealed and the report gains
-    quality/drift/SLO/health sections.  Unmonitored runs take the
-    original code path untouched.
+    quality/drift/SLO/health sections; its latency samples time
+    ``predict_next`` alone, never a refit.
 
     ``controller`` closes the loop: instead of provisioning the raw
     forecasts, each revealed arrival feeds the
@@ -229,12 +190,7 @@ def serve_and_simulate(
     (``predictor.target_channel``, default 0) feeds the bound checks,
     the monitor, and the simulator's actual-arrival replay.
     """
-    a = np.asarray(arrivals, dtype=np.float64)
-    if a.ndim == 2:
-        target = a[:, int(getattr(predictor, "target_channel", 0) or 0)]
-    else:
-        a = a.ravel()
-        target = a
+    a, target = split_target(predictor, arrivals)
     if stream is not None:
         if a.ndim != 1:
             raise ValueError(
@@ -258,47 +214,11 @@ def serve_and_simulate(
             refit_every=refit_every,
         )
         return server.run(chunk_stream(a[start:], config=stream))
-    if controller is not None:
-        schedule = _controller_walk(
-            predictor, a, target, start, refit_every, controller, monitor
-        )
-    elif monitor is None:
-        schedule = provisioning_schedule(predictor, a, start, refit_every=refit_every)
-    else:
-        preds = _monitored_walk(predictor, a, target, start, refit_every, monitor)
-        if not np.all(np.isfinite(preds)):
-            raise ValueError(
-                f"predictor {predictor.name!r} produced non-finite forecasts; "
-                "wrap it in repro.serving.GuardedPredictor for online use"
-            )
-        schedule = np.ceil(np.maximum(preds, 0.0))
-    result = CloudSimulator(spec=spec, seed=seed).run(target[start:], schedule)
-
-    counters = {
-        name: snap["value"]
-        for name, snap in _metrics.get_registry().snapshot(prefix="serving.").items()
-        if snap.get("kind") == "counter"
-    }
-    transitions: list[tuple[str, str, str]] = []
-    served_by: dict[str, int] = {}
-    breaker_state: str | None = None
-    if isinstance(predictor, GuardedPredictor):
-        transitions = list(predictor.breaker.transitions)
-        breaker_state = predictor.breaker.state
-        served_by = dict(predictor.served_by)
-    report = ServingReport(
-        result=result,
-        schedule=schedule,
-        serving_counters=counters,
-        breaker_transitions=transitions,
-        breaker_state=breaker_state,
-        served_by=served_by,
-        controller=controller.snapshot() if controller is not None else None,
+    _, schedule = walk(
+        predictor, a, start,
+        refit_every=refit_every, monitor=monitor, controller=controller,
     )
-    if monitor is not None:
-        sections = monitor.report()
-        report.quality = sections["quality"]
-        report.drift = sections["drift"]
-        report.slo = sections["slo"]
-        report.health = sections["health"]
-    return report
+    return simulate_report(
+        predictor, target[start:], schedule,
+        spec=spec, seed=seed, monitor=monitor, controller=controller,
+    )

@@ -60,16 +60,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.autoscale import CloudSimulator, VMSpec
-from repro.autoscale.controller import HybridController, _guarded_forecast
-from repro.baselines.base import Predictor
+from repro.autoscale import VMSpec
+from repro.autoscale.controller import HybridController
+from repro.baselines.base import Predictor, bind_controller, step
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.obs.monitor.monitor import ForecastMonitor
 from repro.resilience import faults as _faults
-from repro.serving.guard import GuardedPredictor
-from repro.serving.online import ServingReport
+from repro.serving.online import ServingReport, serving_counters, simulate_report
 from repro.serving.sanitize import TraceSanitizer
 from repro.traces.loader import TraceValidationError
 
@@ -360,9 +359,7 @@ class StreamingServer:
         self.seed = int(seed)
         self.refit_every = refit_every
         if controller is not None:
-            if controller.breaker is None:
-                controller.breaker = getattr(predictor, "breaker", None)
-            controller.reset()
+            bind_controller(controller, predictor)
 
         window = self.config.history_window
         tail = init[-window:]
@@ -475,7 +472,8 @@ class StreamingServer:
     # serving modes
     # ------------------------------------------------------------------
     def _serve_values(self, values: np.ndarray) -> None:
-        """Normal serving: predict → provision → reveal, per interval."""
+        """Normal serving: :func:`~repro.baselines.base.step` per interval
+        on the bounded history, on logical time (no latency clock)."""
         predictor = self.predictor
         monitor = self.monitor
         controller = self.controller
@@ -486,23 +484,10 @@ class StreamingServer:
                 refit_every is not None
                 and self._served_intervals % refit_every == 0
             )
-            if controller is not None:
-                p = _guarded_forecast(predictor, history, refit=refit)
-                if monitor is not None and math.isfinite(p):
-                    monitor.observe(max(float(p), 0.0), v, latency_s=None)
-                decision = float(controller.step(p, history).vms)
-            else:
-                if refit:
-                    predictor.fit(history)
-                p = float(predictor.predict_next(history))
-                if not math.isfinite(p):
-                    # Persistence rescue, identical to walk_forward's.
-                    last = float(history[-1])
-                    p = last if math.isfinite(last) else 0.0
-                p = max(p, 0.0)
-                if monitor is not None:
-                    monitor.observe(p, v, latency_s=None)
-                decision = float(np.ceil(p))
+            _, decision = step(
+                predictor, history, history, v, refit=refit,
+                monitor=monitor, controller=controller, clock=None,
+            )
             self._served_intervals += 1
             self._last_decision = decision
             self._push(decision, v)
@@ -543,14 +528,9 @@ class StreamingServer:
         self._c_quar.inc(n)
 
     def _degrade_block(self, n: int) -> None:
-        """Hold-last provisioning for ``n`` intervals with no data at all."""
-        held = self._last_clean
-        self._push_block(
-            np.full(n, self._last_decision), np.full(n, held)
-        )
-        self._append_history_block(np.full(n, held))
-        self._held_intervals += n
-        self._c_held.inc(n)
+        """Hold-last provisioning for ``n`` intervals with no data at all:
+        the last clean value stands in for the missing actuals."""
+        self._hold_block(np.full(n, self._last_clean))
 
     def _hold_block(self, values: np.ndarray) -> None:
         """Stalled chunk: hold-last decisions, but the (late) actuals are
@@ -750,15 +730,7 @@ class StreamingServer:
                 if controller is not None else None
             ),
         }
-        w = self.config.history_window
-        lo = self._hlen - w
-        tail = self._hbuf[lo if lo > 0 else 0 : self._hlen]
-        counters = {
-            name: snap["value"]
-            for name, snap in _metrics.get_registry()
-            .snapshot(prefix="serving.").items()
-            if snap.get("kind") == "counter"
-        }
+        tail = self._history_view()
         state = {
             "schema": CHECKPOINT_SCHEMA,
             "identity": self._identity(),
@@ -785,7 +757,7 @@ class StreamingServer:
             },
             "history": {"hex": tail.tobytes().hex()},
             "components": components,
-            "counters": counters,
+            "counters": serving_counters(),
             "sidecar": {
                 "n": self._n,
                 "decision_rows": self._log_rows,
@@ -973,44 +945,16 @@ class StreamingServer:
             # covers everything (also makes resuming a *finished* run a
             # clean no-op with an identical report).
             self._checkpoint()
-        schedule = self._sched_buf[: self._n].copy()
-        actuals = self._act_buf[: self._n].copy()
-        result = CloudSimulator(spec=self.spec, seed=self.seed).run(
-            actuals, schedule
-        )
-        counters = {
-            name: snap["value"]
-            for name, snap in _metrics.get_registry()
-            .snapshot(prefix="serving.").items()
-            if snap.get("kind") == "counter"
-        }
-        transitions: list[tuple[str, str, str]] = []
-        served_by: dict[str, int] = {}
-        breaker_state: str | None = None
-        if isinstance(self.predictor, GuardedPredictor):
-            transitions = list(self.predictor.breaker.transitions)
-            breaker_state = self.predictor.breaker.state
-            served_by = dict(self.predictor.served_by)
-        report = ServingReport(
-            result=result,
-            schedule=schedule,
-            serving_counters=counters,
-            breaker_transitions=transitions,
-            breaker_state=breaker_state,
-            served_by=served_by,
-            controller=(
-                self.controller.snapshot()
-                if self.controller is not None else None
-            ),
+        return simulate_report(
+            self.predictor,
+            self._act_buf[: self._n].copy(),
+            self._sched_buf[: self._n].copy(),
+            spec=self.spec,
+            seed=self.seed,
+            monitor=self.monitor,
+            controller=self.controller,
             stream=self.summary(),
         )
-        if self.monitor is not None:
-            sections = self.monitor.report()
-            report.quality = sections["quality"]
-            report.drift = sections["drift"]
-            report.slo = sections["slo"]
-            report.health = sections["health"]
-        return report
 
     def run(self, chunks: Iterable[StreamChunk]) -> ServingReport:
         """Ingest every chunk, then :meth:`finish`.

@@ -307,6 +307,32 @@ class TestHybridPolicy:
         with pytest.raises(ValueError):
             HybridPolicy(LastValuePredictor()).schedule(np.ones(5), 0)
 
+    def test_multivariate_walks_target_channel(self):
+        """A (N, D) trace yields N - start decisions from the target
+        channel, exactly as the closed-loop batch serve decides them."""
+        from repro.serving import serve_and_simulate
+
+        class _Channel(LastValuePredictor):
+            target_channel = 1
+
+            def predict_next(self, history):
+                return float(history[-1, self.target_channel])
+
+        rng = np.random.default_rng(8)
+        arrivals = rng.uniform(5, 60, (40, 3))
+        arrivals[:, 1] *= 10.0  # keep the channels far apart
+        cfg = ControllerConfig(kp=0.5)
+        policy = HybridPolicy(_Channel(), config=cfg)
+        schedule = policy.schedule(arrivals, 30)
+        assert schedule.shape == (10,)
+        # Every forecast got through: the predictor saw all channels.
+        assert "reactive" not in policy.controller.decided_by
+        served = serve_and_simulate(
+            _Channel(), arrivals, 30, controller=HybridController(cfg)
+        )
+        np.testing.assert_array_equal(schedule, served.schedule)
+        assert np.all(schedule >= 50)  # decided from channel 1, not 0 or 2
+
 
 class TestHeadroomQuantile:
     """The controller's hand-rolled lerp must be np.quantile, bitwise."""

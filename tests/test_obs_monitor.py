@@ -316,6 +316,48 @@ class TestServingIntegration:
         serve_and_simulate(LastValuePredictor(), s, 240, monitor=m)
         assert m.intervals == 60
 
+    def test_latency_times_predict_only_in_both_loops(self, monkeypatch):
+        """A 5 ms refit must not count against a 2 ms latency SLO, open
+        or closed loop: both loops time ``predict_next`` alone."""
+        from types import SimpleNamespace
+
+        from repro.autoscale import HybridController
+        from repro.baselines import base
+
+        now = [0.0]
+        monkeypatch.setattr(base, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+        class SlowFit(LastValuePredictor):
+            def fit(self, history):
+                now[0] += 0.005
+                return self
+
+            def predict_next(self, history):
+                now[0] += 0.0001
+                return float(history[-1])
+
+        class Recording(ForecastMonitor):
+            def observe(self, predicted, actual, latency_s=None):
+                self.latencies.append(latency_s)
+                return super().observe(predicted, actual, latency_s)
+
+        s = np.full(200, 50.0)
+        latencies = {}
+        for loop, controller in (("open", None), ("closed", HybridController())):
+            now[0] = 0.0
+            monitor = Recording(slo=SLOTracker(latency_slo_ms=2.0))
+            monitor.latencies = []
+            report = serve_and_simulate(
+                SlowFit(), s, 100, refit_every=1, monitor=monitor,
+                controller=controller,
+            )
+            latency = report.slo["objectives"]["latency"]
+            assert (latency["n"], latency["violations"]) == (100, 0), loop
+            assert report.health["status"] == HEALTHY, loop
+            latencies[loop] = monitor.latencies
+        assert latencies["open"] == latencies["closed"]
+        assert latencies["open"] == pytest.approx([1e-4] * 100)
+
 
 class TestRefitOnDrift:
     def test_detector_triggers_exactly_one_refit(self):

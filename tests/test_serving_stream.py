@@ -524,6 +524,44 @@ class TestStreamingDegradation:
         assert rep.drifted
 
 
+class TestBatchStreamParity:
+    """Batch walk and chunked stream run the same serving step, so on a
+    clean trace the stream sees everything the batch sees (history window
+    covering the trace) and must serve identically, bit for bit."""
+
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_stream_matches_batch_bit_for_bit(self, controlled):
+        from repro.baselines.naive import SeasonalNaivePredictor
+
+        n, start = 1440, 720
+        t = np.arange(n, dtype=np.float64)
+        rng = np.random.default_rng(11)
+        trace = np.clip(
+            200 + 80 * np.sin(2 * np.pi * t / 144) + rng.normal(0, 6, n), 0, None
+        )
+
+        def run(stream):
+            reset_metrics()
+            return serve_and_simulate(
+                GuardedPredictor(SeasonalNaivePredictor(144)), trace, start,
+                monitor=ForecastMonitor(),
+                controller=HybridController() if controlled else None,
+                stream=stream,
+            )
+
+        batch = run(None)
+        streamed = run(StreamConfig(chunk_size=37, history_window=n))
+        assert streamed.stream["served_intervals"] == n - start
+        assert batch.schedule.tobytes() == streamed.schedule.tobytes()
+        for name, value in vars(batch.result).items():
+            other = getattr(streamed.result, name)
+            if isinstance(value, np.ndarray):
+                assert value.tobytes() == other.tobytes(), name
+            else:
+                assert value == other, name
+        assert _canon(batch.quality) == _canon(streamed.quality)
+
+
 class TestCheckpointResume:
     def test_kill_midstream_resume_bit_for_bit(self, tmp_path):
         trace = _diurnal(3000)
