@@ -242,9 +242,8 @@ def test_chunked_checkpoint_overhead(tmp_path):
 
     def chunked_run(ckpt_dir):
         guarded = GuardedPredictor(LastValuePredictor())
-        monitor = ForecastMonitor(
-            slo=SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)
-        )
+        # Streams are scored untimed, so only the accuracy objective.
+        monitor = ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=50.0))
         cfg = StreamConfig(
             chunk_size=256, seed=3, checkpoint_every=100,
             checkpoint_dir=ckpt_dir,
@@ -301,9 +300,7 @@ def test_controlled_checkpoint_cost(tmp_path):
     server = StreamingServer(
         GuardedPredictor(LastValuePredictor()), raw[:start], config=cfg,
         sanitizer=TraceSanitizer(policy="interpolate"),
-        monitor=ForecastMonitor(
-            slo=SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)
-        ),
+        monitor=ForecastMonitor(slo=SLOTracker(accuracy_slo_mape=50.0)),
         controller=HybridController(),
     )
     costs: list[float] = []

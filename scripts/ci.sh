@@ -112,11 +112,13 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli autoscale --quic
 REPRO_BENCH_QUICK=1 REPRO_BENCH_ARTIFACT_DIR="$BENCH_DIR" \
     PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest -x -q \
     benchmarks/bench_autoscale_chaos.py
-python - "$BENCH_DIR/BENCH_autoscale.json" <<'PYEOF'
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python - "$BENCH_DIR/BENCH_autoscale.json" <<'PYEOF'
 import json, math, sys
+from repro.autoscale.scenarios import SCENARIO_NAMES
 cells = json.load(open(sys.argv[1]))["scenarios"]
-for scenario in ("steady", "flash_crowd", "regime_shift", "corruption",
-                 "nan_flash", "drift_fault"):
+missing = sorted(set(SCENARIO_NAMES) - set(cells))
+assert not missing, f"BENCH_autoscale.json lacks scenario cells {missing}"
+for scenario in SCENARIO_NAMES:
     for policy in ("predictive", "reactive", "hybrid"):
         row = cells[scenario]["policies"][policy]
         assert math.isfinite(row["underprovision_rate_pct"]), (scenario, policy)

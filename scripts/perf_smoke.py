@@ -47,6 +47,11 @@ REQUIRED_GAUGES = {
 }
 
 
+def _quadratic(c: dict) -> float:
+    """Search objective; module-level so a process pool can pickle it."""
+    return (c["a"] - 3) ** 2 + (c["b"] - 0.4) ** 2
+
+
 def check_fastpath_parity() -> None:
     from repro.bayesopt import IntParam, FloatParam, RandomSearch, SearchSpace
     from repro.nn.gru import GRULayer
@@ -72,12 +77,11 @@ def check_fastpath_parity() -> None:
     logger.info("fast-path parity: OK")
 
     space = SearchSpace([IntParam("a", 1, 10), FloatParam("b", 0.0, 1.0)])
-    objective = lambda c: (c["a"] - 3) ** 2 + (c["b"] - 0.4) ** 2  # noqa: E731
     serial = RandomSearch(space, seed=3)
-    serial.run(objective, 6)
+    serial.run(_quadratic, 6)
     space2 = SearchSpace([IntParam("a", 1, 10), FloatParam("b", 0.0, 1.0)])
     parallel = RandomSearch(space2, seed=3)
-    parallel.run(objective, 6, n_workers=2)
+    parallel.run(_quadratic, 6, n_workers=2)
     if [(r.config, r.value) for r in serial.history] != [
         (r.config, r.value) for r in parallel.history
     ]:

@@ -34,6 +34,7 @@ from repro.autoscale.policy import (
     PredictivePolicy,
     ReactivePolicy,
     provisioning_schedule,
+    reactive_target,
 )
 
 # Scenarios import last: the harness builds on every sibling above (and
@@ -52,6 +53,7 @@ __all__ = [
     "ReactivePolicy",
     "OraclePolicy",
     "provisioning_schedule",
+    "reactive_target",
     "ControllerConfig",
     "Decision",
     "HybridController",

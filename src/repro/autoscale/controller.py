@@ -49,10 +49,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.autoscale.policy import reactive_target
 from repro.baselines.base import Predictor, bind_controller, walk
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+from repro.state import (
+    BOOL, COUNTS, FLOAT, INT, NESTED, STR, Stateful, optional, window,
+)
 
 __all__ = [
     "DECIDED_BY",
@@ -222,7 +226,7 @@ class Decision:
         )
 
 
-class HybridController:
+class HybridController(Stateful):
     """Stateful closed-loop controller: one :meth:`step` per interval.
 
     Parameters
@@ -250,6 +254,27 @@ class HybridController:
     #: Breaker state that sheds the proactive path (matches
     #: :data:`repro.serving.breaker.OPEN` without importing serving).
     BREAKER_OPEN = "open"
+
+    #: Corrector terms, burst latch, rail/cooldown bookkeeping, tallies
+    #: and the drift detector's state (``null`` without one).
+    _persisted = {
+        "decided_by": COUNTS,
+        "rail_hits": COUNTS,
+        "burst": BOOL,
+        "burst_reason": optional(STR),
+        "burst_episodes": INT,
+        "_errors": window(FLOAT, "config.error_window", maxlen=True),
+        "_integral": FLOAT,
+        "_prev_error": optional(FLOAT),
+        "_derivative": FLOAT,
+        "_last_forecast": optional(FLOAT),
+        "_last_vms": optional(INT),
+        "_under_streak": INT,
+        "_clean_streak": INT,
+        "_cooldown": INT,
+        "_last_tag": optional(STR),
+        "drift_detector": NESTED,
+    }
 
     def __init__(
         self,
@@ -381,18 +406,6 @@ class HybridController:
             return 0.0
         return _linear_quantile(pos, q)
 
-    def _reactive_target(self, history: np.ndarray) -> float | None:
-        """Generalized reactive rule, or ``None`` when the signal is dead."""
-        cfg = self.config
-        tail = history[-cfg.reactive_window :] if history.size else history
-        finite = tail[np.isfinite(tail)]
-        if finite.size == 0:
-            return None
-        peak = float(finite.max())
-        if cfg.reactive_headroom != 1.0:
-            peak *= cfg.reactive_headroom
-        return peak
-
     # ------------------------------------------------------------------
     def step(self, forecast: float, history: np.ndarray) -> Decision:
         """Decide the VM count for the next interval.
@@ -414,7 +427,7 @@ class HybridController:
             self.breaker is not None
             and getattr(self.breaker, "state", None) == self.BREAKER_OPEN
         )
-        reactive = self._reactive_target(h)
+        reactive = reactive_target(h[-cfg.reactive_window :], cfg.reactive_headroom)
 
         correction = 0.0
         if proactive_ok:
@@ -538,71 +551,19 @@ class HybridController:
         }
 
     def control_state_dict(self) -> dict:
-        """The bounded part of :meth:`state_dict`: everything but the log.
+        """The declared fields: all of :meth:`state_dict` but the log.
 
-        Corrector terms, burst latch, rail/cooldown bookkeeping, tallies,
-        and — when the attached drift detector supports it — the
-        detector's state.  Its size does not grow with the number of
-        decisions, so a caller that persists the log incrementally (the
-        streaming checkpoint appends rows to a sidecar) pays O(1) here.
+        Its size does not grow with the number of decisions, so a caller
+        that persists the log incrementally (the streaming checkpoint
+        appends rows to a sidecar) pays O(1) here.
         """
-        out: dict = {
-            "decided_by": dict(self.decided_by),
-            "rail_hits": dict(self.rail_hits),
-            "burst": self.burst,
-            "burst_reason": self.burst_reason,
-            "burst_episodes": self.burst_episodes,
-            "errors": list(self._errors),
-            "integral": self._integral,
-            "prev_error": self._prev_error,
-            "derivative": self._derivative,
-            "last_forecast": self._last_forecast,
-            "last_vms": self._last_vms,
-            "under_streak": self._under_streak,
-            "clean_streak": self._clean_streak,
-            "cooldown": self._cooldown,
-            "last_tag": self._last_tag,
-        }
-        if self.drift_detector is not None and hasattr(
-            self.drift_detector, "state_dict"
-        ):
-            out["drift_detector"] = self.drift_detector.state_dict()
-        return out
+        return super().state_dict()
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output onto a same-config instance."""
-        cfg = self.config
-        errors = [float(e) for e in state["errors"]]
-        if len(errors) > cfg.error_window:
-            raise ValueError(
-                f"{len(errors)} saved errors exceed error_window "
-                f"{cfg.error_window}"
-            )
-        self.decisions = [Decision.from_row(row) for row in state["decisions"]]
-        self.decided_by = {str(k): int(v) for k, v in state["decided_by"].items()}
-        self.rail_hits = {str(k): int(v) for k, v in state["rail_hits"].items()}
-        self.burst = bool(state["burst"])
-        reason = state["burst_reason"]
-        self.burst_reason = str(reason) if reason is not None else None
-        self.burst_episodes = int(state["burst_episodes"])
-        self._errors = deque(errors, maxlen=cfg.error_window)
-        self._integral = float(state["integral"])
-        prev = state["prev_error"]
-        self._prev_error = float(prev) if prev is not None else None
-        self._derivative = float(state["derivative"])
-        last_f = state["last_forecast"]
-        self._last_forecast = float(last_f) if last_f is not None else None
-        last_v = state["last_vms"]
-        self._last_vms = int(last_v) if last_v is not None else None
-        self._under_streak = int(state["under_streak"])
-        self._clean_streak = int(state["clean_streak"])
-        self._cooldown = int(state["cooldown"])
-        tag = state["last_tag"]
-        self._last_tag = str(tag) if tag is not None else None
-        if "drift_detector" in state and self.drift_detector is not None and hasattr(
-            self.drift_detector, "load_state_dict"
-        ):
-            self.drift_detector.load_state_dict(state["drift_detector"])
+        decisions = [Decision.from_row(row) for row in state["decisions"]]
+        super().load_state_dict(state)
+        self.decisions = decisions
 
     # ------------------------------------------------------------------
     @property

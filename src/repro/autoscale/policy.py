@@ -25,7 +25,24 @@ __all__ = [
     "ReactivePolicy",
     "OraclePolicy",
     "provisioning_schedule",
+    "reactive_target",
 ]
+
+
+def reactive_target(recent: np.ndarray, headroom: float = 1.0) -> float | None:
+    """The reactive rule: ``headroom x max`` of the finite ``recent`` arrivals.
+
+    ``None`` when no observation in ``recent`` is finite (there is
+    nothing to react to).  Shared by :class:`ReactivePolicy` and the
+    :class:`~repro.autoscale.controller.HybridController` reactive tier.
+    """
+    finite = recent[np.isfinite(recent)]
+    if finite.size == 0:
+        return None
+    peak = float(finite.max())
+    if headroom != 1.0:
+        peak *= headroom
+    return peak
 
 
 def provisioning_schedule(
@@ -63,7 +80,7 @@ class ReactivePolicy:
 
     The classic rule — provision what arrived last interval — is the
     ``window=1, headroom=1.0`` default.  Generalized, the policy
-    provisions ``headroom x max`` of the last ``window`` *finite*
+    provisions :func:`reactive_target` of the last ``window``
     observations, which is the reactive tier the
     :class:`~repro.autoscale.controller.HybridController` degrades to: a
     wider window rides out single-interval dips, a headroom factor > 1
@@ -96,12 +113,8 @@ class ReactivePolicy:
             return np.ceil(a[start - 1 : a.size - 1])
         out = np.empty(a.size - start)
         for j, i in enumerate(range(start, a.size)):
-            tail = a[max(i - self.window, 0) : i]
-            finite = tail[np.isfinite(tail)]
-            peak = float(finite.max()) if finite.size else 0.0
-            if self.headroom != 1.0:
-                peak *= self.headroom
-            out[j] = np.ceil(max(peak, 0.0))
+            peak = reactive_target(a[max(i - self.window, 0) : i], self.headroom)
+            out[j] = np.ceil(max(0.0 if peak is None else peak, 0.0))
         return out
 
 

@@ -12,14 +12,18 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bayesopt.optimizer import TrialRecord, record_trial, run_search
+from repro.bayesopt.optimizer import SearchOptimizer, TrialRecord
 from repro.bayesopt.space import SearchSpace
+from repro.state import INT
 
 __all__ = ["GridSearch"]
 
 
-class GridSearch:
+class GridSearch(SearchOptimizer):
     """Deterministic full-factorial sweep over a :class:`SearchSpace`."""
+
+    kind = "grid"
+    _persisted = {"_cursor": INT}
 
     def __init__(
         self,
@@ -28,32 +32,13 @@ class GridSearch:
         shuffle: bool = False,
         seed: int = 0,
     ):
-        self.space = space
+        super().__init__(space)
         self.points_per_dim = int(points_per_dim)
         self._grid = space.grid(points_per_dim)
         if shuffle:
             rng = np.random.default_rng(seed)
             rng.shuffle(self._grid)
         self._cursor = 0
-        self.history: list[TrialRecord] = []
-        self._excluded = None
-
-    # ------------------------------------------------------------------
-    # resilience hooks (same contract as BayesianOptimizer)
-    # ------------------------------------------------------------------
-    def set_excluded(self, predicate) -> None:
-        """Skip grid points for which ``predicate`` is true (quarantine)."""
-        self._excluded = predicate
-
-    def search_state(self) -> dict:
-        return {"cursor": self._cursor}
-
-    def restore_search_state(self, state: dict) -> None:
-        self._cursor = int(state["cursor"])
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.history)
 
     @property
     def grid_size(self) -> int:
@@ -62,20 +47,6 @@ class GridSearch:
     @property
     def exhausted(self) -> bool:
         return self._cursor >= len(self._grid)
-
-    @property
-    def best_record(self) -> TrialRecord:
-        if not self.history:
-            raise RuntimeError("no trials evaluated yet")
-        return min(self.history, key=lambda r: r.value)
-
-    @property
-    def best_config(self) -> dict:
-        return dict(self.best_record.config)
-
-    @property
-    def best_value(self) -> float:
-        return self.best_record.value
 
     def suggest(self) -> dict:
         """Next unexplored, non-quarantined grid point (raises when
@@ -88,38 +59,6 @@ class GridSearch:
             return dict(config)
         raise StopIteration("grid exhausted")
 
-    def suggest_batch(self, q: int) -> list[dict]:
-        """Next up-to-``q`` grid points for concurrent evaluation.
-
-        Returns a partial batch when the grid runs out mid-batch and
-        raises :class:`StopIteration` only when no points remain at all.
-        ``suggest_batch(1)`` reduces exactly to :meth:`suggest`.
-        """
-        if q < 1:
-            raise ValueError("batch size q must be >= 1")
-        if q == 1:
-            return [self.suggest()]
-        configs: list[dict] = []
-        for _ in range(q):
-            try:
-                configs.append(self.suggest())
-            except StopIteration:
-                if not configs:
-                    raise
-                break
-        return configs
-
-    def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
-        self.space.validate(config)
-        if not np.isfinite(value):
-            value = 1e6
-        record = TrialRecord(
-            iteration=self.n_trials, config=dict(config), value=float(value), metadata=metadata
-        )
-        self.history.append(record)
-        record_trial(record, optimizer="grid")
-        return record
-
     def run(
         self,
         objective: Callable[[dict], float],
@@ -129,6 +68,4 @@ class GridSearch:
     ) -> TrialRecord:
         """Sweep the grid (or its first ``n_iters`` points)."""
         budget = self.grid_size - self._cursor if n_iters is None else n_iters
-        if budget < 1:
-            raise ValueError("n_iters must be >= 1")
-        return run_search(self, objective, budget, callback, n_workers)
+        return super().run(objective, budget, callback, n_workers)

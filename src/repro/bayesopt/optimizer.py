@@ -46,13 +46,13 @@ from repro.gp import GaussianProcessRegressor, Matern52
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+from repro.state import RNG, Stateful
 
 __all__ = [
     "BayesianOptimizer",
+    "SearchOptimizer",
     "TrialRecord",
     "unpack_objective",
-    "record_trial",
-    "run_search",
 ]
 
 logger = get_logger("bayesopt")
@@ -79,27 +79,6 @@ def unpack_objective(out) -> tuple[float, dict]:
     return float(out), {}
 
 
-def record_trial(record: "TrialRecord", optimizer: str) -> None:
-    """Per-trial telemetry shared by all search optimizers.
-
-    Counts the trial, tracks the objective distribution, and — when an
-    event sink is registered — emits one ``bo.trial`` record carrying
-    the suggested config, the objective value, and whatever metadata the
-    caller attached (timings, epochs run, early-stop flags, ...).
-    """
-    _metrics.counter("bo.trials").inc()
-    _metrics.histogram("bo.objective").observe(record.value)
-    if _events.enabled():
-        _events.emit(
-            "bo.trial",
-            optimizer=optimizer,
-            iteration=record.iteration,
-            config=dict(record.config),
-            value=record.value,
-            **record.metadata,
-        )
-
-
 @dataclass
 class TrialRecord:
     """One validated hyperparameter set and its objective value."""
@@ -110,53 +89,178 @@ class TrialRecord:
     metadata: dict = field(default_factory=dict)
 
 
-def run_search(
-    optimizer,
-    objective: Callable[[dict], float],
-    n_iters: int,
-    callback: Callable[["TrialRecord"], None] | None = None,
-    n_workers: int | None = None,
-) -> "TrialRecord":
-    """Closed-loop ask/evaluate/tell driver shared by all optimizers.
+class SearchOptimizer(Stateful):
+    """The ask/tell bookkeeping BO, random and grid search share.
 
-    Serial when ``n_workers`` is ``None`` or 1 (byte-identical to the
-    classic one-at-a-time loop).  Otherwise draws ``suggest_batch``
-    batches and evaluates each through
-    :func:`repro.parallel.parallel_map` (which itself degrades to a
-    serial loop where process pools are unavailable).  Results are told
-    in suggestion order, so trial records are deterministic for a
-    deterministic objective either way.
+    Subclasses implement ``suggest`` and declare their resumable search
+    state (an RNG or a grid cursor) in ``_persisted``.  That state is
+    what :meth:`search_state` returns: ``tell`` consumes no randomness,
+    so the state captured after trial *i* is exactly the state
+    ``suggest`` for trial *i+1* will see, and restoring it makes a
+    resumed run bit-for-bit identical.
     """
-    from repro.parallel import effective_workers, parallel_map
 
-    workers = 1 if n_workers is None else effective_workers(n_workers)
-    remaining = n_iters
-    while remaining > 0:
-        try:
-            if workers <= 1:
-                configs = [optimizer.suggest()]
-            else:
-                configs = optimizer.suggest_batch(min(workers, remaining))
-        except StopIteration:  # grid exhausted
-            break
-        if not configs:
-            break
-        if workers <= 1 or len(configs) < 2:
-            outs = [objective(c) for c in configs]
-        else:
-            outs = parallel_map(
-                objective, configs, n_workers=workers, chunks_per_worker=1
+    #: ``optimizer`` field of the per-trial ``bo.trial`` event.
+    kind = "search"
+
+    def __init__(self, space: SearchSpace):
+        self.space = space
+        self.history: list[TrialRecord] = []
+        self._excluded: Callable[[dict], bool] | None = None
+        #: Configs suggested by an in-flight :meth:`suggest_batch` whose
+        #: objective values have not been told yet; deduplication treats
+        #: them as explored so one batch never proposes a point twice.
+        self._pending_batch: list[dict] = []
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.history)
+
+    @property
+    def best_record(self) -> TrialRecord:
+        """The lowest-error trial seen so far (workflow step 4)."""
+        if not self.history:
+            raise RuntimeError("no trials evaluated yet")
+        return min(self.history, key=lambda r: r.value)
+
+    @property
+    def best_config(self) -> dict:
+        return dict(self.best_record.config)
+
+    @property
+    def best_value(self) -> float:
+        return self.best_record.value
+
+    def set_excluded(self, predicate: Callable[[dict], bool] | None) -> None:
+        """Ban configs for which ``predicate`` is true from being suggested
+        (the quarantine hook — see :class:`repro.resilience.Quarantine`)."""
+        self._excluded = predicate
+
+    def search_state(self) -> dict:
+        """Serializable state needed to resume suggesting deterministically."""
+        return self.state_dict()
+
+    def restore_search_state(self, state: dict) -> None:
+        self.load_state_dict(state)
+
+    def suggest(self) -> dict:
+        raise NotImplementedError
+
+    def suggest_batch(self, q: int) -> list[dict]:
+        """Up to ``q`` configs for concurrent evaluation.
+
+        The serial proposals, in order: each ``suggest`` sees the points
+        already in this batch as pending, which is exactly what serial
+        ``suggest`` would have seen as history at the same trial index.
+        A partial batch is returned when the proposals run out mid-batch
+        (an exhausted grid); :class:`StopIteration` only when none remain.
+        ``suggest_batch(1)`` reduces exactly to :meth:`suggest`.
+        """
+        if q < 1:
+            raise ValueError("batch size q must be >= 1")
+        self._pending_batch = []
+        if q == 1:
+            return [self.suggest()]
+        configs: list[dict] = []
+        for _ in range(q):
+            try:
+                config = self.suggest()
+            except StopIteration:
+                if not configs:
+                    raise
+                break
+            configs.append(config)
+            self._pending_batch.append(config)
+            self._batched(config)
+        return configs
+
+    def _batched(self, config: dict) -> None:
+        """Hook: ``config`` joined the in-flight batch."""
+
+    def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
+        """Record the objective value for a suggested (or external) config.
+
+        A failed (non-finite) value is recorded at a large finite penalty
+        so the search steers away instead of crashing.  Every trial is
+        counted and, when an event sink is registered, emitted as one
+        ``bo.trial`` event with its config, value and metadata.
+        """
+        self.space.validate(config)
+        if not np.isfinite(value):
+            value = 1e6
+        if self._pending_batch:
+            try:
+                self._pending_batch.remove(config)
+            except ValueError:
+                pass
+        record = TrialRecord(
+            iteration=self.n_trials, config=dict(config), value=float(value),
+            metadata=metadata,
+        )
+        self.history.append(record)
+        _metrics.counter("bo.trials").inc()
+        _metrics.histogram("bo.objective").observe(record.value)
+        if _events.enabled():
+            _events.emit(
+                "bo.trial",
+                optimizer=self.kind,
+                iteration=record.iteration,
+                config=dict(record.config),
+                value=record.value,
+                **record.metadata,
             )
-        for config, out in zip(configs, outs, strict=True):
-            value, meta = unpack_objective(out)
-            record = optimizer.tell(config, value, **meta)
-            if callback is not None:
-                callback(record)
-        remaining -= len(configs)
-    return optimizer.best_record
+        return record
+
+    def run(
+        self,
+        objective: Callable[[dict], float],
+        n_iters: int,
+        callback: Callable[[TrialRecord], None] | None = None,
+        n_workers: int | None = None,
+    ) -> TrialRecord:
+        """Evaluate ``objective`` for ``n_iters`` iterations; return the best.
+
+        ``n_iters`` is the paper's ``maxIters`` (100 in their runs).  The
+        objective may return a bare value or ``(value, metadata)``;
+        metadata lands on the :class:`TrialRecord`.
+
+        Serial when ``n_workers`` is ``None`` or 1.  Otherwise iterations
+        are grouped into :meth:`suggest_batch` batches evaluated through
+        :func:`repro.parallel.parallel_map` (which degrades to a serial
+        loop where process pools are unavailable); the objective must
+        then be picklable.  Results are told in suggestion order, so the
+        trial history is deterministic for a deterministic objective.
+        """
+        from repro.parallel import effective_workers, parallel_map
+
+        if n_iters < 1:
+            raise ValueError("n_iters must be >= 1")
+        workers = 1 if n_workers is None else effective_workers(n_workers)
+        remaining = n_iters
+        while remaining > 0:
+            try:
+                if workers <= 1:
+                    configs = [self.suggest()]
+                else:
+                    configs = self.suggest_batch(min(workers, remaining))
+            except StopIteration:  # grid exhausted
+                break
+            if workers <= 1 or len(configs) < 2:
+                outs = [objective(c) for c in configs]
+            else:
+                outs = parallel_map(
+                    objective, configs, n_workers=workers, chunks_per_worker=1
+                )
+            for config, out in zip(configs, outs, strict=True):
+                value, meta = unpack_objective(out)
+                record = self.tell(config, value, **meta)
+                if callback is not None:
+                    callback(record)
+            remaining -= len(configs)
+        return self.best_record
 
 
-class BayesianOptimizer:
+class BayesianOptimizer(SearchOptimizer):
     """GP-based minimizer over a :class:`SearchSpace`.
 
     Parameters
@@ -190,6 +294,9 @@ class BayesianOptimizer:
         or ``"sweep"`` (Sobol sweep + batched top-k stochastic polish).
     """
 
+    kind = "bayesian"
+    _persisted = {"_rng": RNG}
+
     def __init__(
         self,
         space: SearchSpace,
@@ -217,7 +324,7 @@ class BayesianOptimizer:
             )
         if reopt_every < 1:
             raise ValueError("reopt_every must be >= 1")
-        self.space = space
+        super().__init__(space)
         self.n_initial = int(n_initial)
         self.acquisition_name = acquisition
         self.xi = float(xi)
@@ -238,66 +345,21 @@ class BayesianOptimizer:
         #: external tells invalidate it).
         self._gp: GaussianProcessRegressor | None = None
         self._gp_tells = 0
-        self.history: list[TrialRecord] = []
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
-        self._pending: dict | None = None
-        self._excluded: Callable[[dict], bool] | None = None
         #: Timings of the most recent :meth:`suggest`, attached to the
         #: next :meth:`tell`'s record so every trial carries the cost of
         #: proposing it (surrogate fit + acquisition optimization).
         self._suggest_timings: dict = {}
-        #: Configs suggested by an in-flight :meth:`suggest_batch` whose
-        #: objective values have not been told yet; the GP dedup treats
-        #: them as explored so one batch never proposes the same point
-        #: twice.
-        self._pending_batch: list[dict] = []
         #: Per-suggestion timing dicts queued by :meth:`suggest_batch`,
         #: consumed one per :meth:`tell` so batched trials carry their
         #: own proposal costs just like serial ones.
         self._batch_timings: deque[dict] = deque()
-
-    # ------------------------------------------------------------------
-    # state
-    # ------------------------------------------------------------------
-    @property
-    def n_trials(self) -> int:
-        return len(self.history)
-
-    @property
-    def best_record(self) -> TrialRecord:
-        """The lowest-error trial seen so far (workflow step 4)."""
-        if not self.history:
-            raise RuntimeError("no trials evaluated yet")
-        return min(self.history, key=lambda r: r.value)
-
-    @property
-    def best_config(self) -> dict:
-        return dict(self.best_record.config)
-
-    @property
-    def best_value(self) -> float:
-        return self.best_record.value
-
-    # ------------------------------------------------------------------
-    # resilience hooks
-    # ------------------------------------------------------------------
-    def set_excluded(self, predicate: Callable[[dict], bool] | None) -> None:
-        """Ban configs for which ``predicate`` is true from being suggested
-        (the quarantine hook — see :class:`repro.resilience.Quarantine`)."""
-        self._excluded = predicate
-
-    def search_state(self) -> dict:
-        """Serializable state needed to resume suggesting deterministically.
-
-        ``tell`` consumes no randomness, so the state captured after
-        trial *i* is exactly the state ``suggest`` for trial *i+1* will
-        see — restoring it makes a resumed run bit-for-bit identical.
-        """
-        return {"rng": self._rng.bit_generator.state}
+        #: The constant-liar value of the in-flight batch.
+        self._lie: float | None = None
 
     def restore_search_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
+        super().restore_search_state(state)
         # A resume is a natural re-optimization point: the persistent
         # surrogate's hyperparameters cannot be serialized through the
         # journal, so drop it and let the next suggestion refit fully.
@@ -346,7 +408,6 @@ class BayesianOptimizer:
                     )
                 self._suggest_timings["degraded_suggest"] = True
                 config = self._sample_novel()
-        self._pending = config
         return config
 
     def suggest_batch(self, q: int) -> list[dict]:
@@ -363,72 +424,50 @@ class BayesianOptimizer:
         ``suggest_batch(1)`` is exactly :meth:`suggest`: same RNG
         stream, same proposal, no liar machinery.
         """
-        if q < 1:
-            raise ValueError("batch size q must be >= 1")
-        self._pending_batch = []
         self._batch_timings = deque()
-        if q == 1:
-            return [self.suggest()]
-        configs: list[dict] = []
-        timings: list[dict] = []
-        lie = float(np.min(self._y)) if self._y else None
-        n_lies = 0
+        if q <= 1:
+            return super().suggest_batch(q)
+        self._lie = float(np.min(self._y)) if self._y else None
+        n_told = len(self._y)
         t0 = time.perf_counter()
         try:
-            for _ in range(q):
-                config = self.suggest()
-                timings.append(self._suggest_timings)
-                self._suggest_timings = {}
-                configs.append(config)
-                self._pending_batch.append(config)
-                if lie is not None:
-                    # Temporarily record the lie so the next surrogate
-                    # fit sees the pending point as explored.
-                    self._X.append(self.space.to_unit(config))
-                    self._y.append(lie)
-                    n_lies += 1
+            configs = super().suggest_batch(q)
         finally:
-            if n_lies:
-                del self._X[-n_lies:]
-                del self._y[-n_lies:]
-        self._batch_timings = deque(timings)
+            del self._X[n_told:]
+            del self._y[n_told:]
         _metrics.counter("bo.batches").inc()
         if _events.enabled():
             _events.emit(
                 "bo.batch",
                 q=q,
                 iteration=self.n_trials,
-                lie=lie,
+                lie=self._lie,
                 suggest_seconds=time.perf_counter() - t0,
             )
         return configs
 
+    def _batched(self, config: dict) -> None:
+        # Keep the proposal's timings for its tell, and temporarily record
+        # the lie so the next surrogate fit sees the point as explored.
+        self._batch_timings.append(self._suggest_timings)
+        self._suggest_timings = {}
+        if self._lie is not None:
+            self._X.append(self.space.to_unit(config))
+            self._y.append(self._lie)
+
     def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
         """Record the objective value for a suggested (or external) config."""
         t0 = time.perf_counter()
-        if not np.isfinite(value):
-            # Failed trainings (diverged loss etc.) are recorded at a large
-            # finite penalty so the GP steers away instead of crashing.
-            value = 1e6
-        self.space.validate(config)
         if not self._suggest_timings and self._batch_timings:
             self._suggest_timings = self._batch_timings.popleft()
         if self._suggest_timings:
             metadata = {**self._suggest_timings, **metadata}
             self._suggest_timings = {}
-        if self._pending_batch:
-            try:
-                self._pending_batch.remove(config)
-            except ValueError:
-                pass
-        record = TrialRecord(iteration=self.n_trials, config=dict(config), value=float(value), metadata=metadata)
-        self.history.append(record)
+        record = super().tell(config, value, **metadata)
         self._X.append(self.space.to_unit(config))
-        self._y.append(float(value))
-        self._pending = None
+        self._y.append(record.value)
         if self.incremental:
             self._absorb_tell()
-        record_trial(record, optimizer="bayesian")
         logger.debug(
             "trial %d: value=%.4g config=%s", record.iteration, record.value, record.config
         )
@@ -641,29 +680,3 @@ class BayesianOptimizer:
         if any(p == config for p in self._pending_batch):
             return True
         return any(r.config == config for r in self.history)
-
-    # ------------------------------------------------------------------
-    # closed-loop driver
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        objective: Callable[[dict], float],
-        n_iters: int,
-        callback: Callable[[TrialRecord], None] | None = None,
-        n_workers: int | None = None,
-    ) -> TrialRecord:
-        """Evaluate ``objective`` for ``n_iters`` iterations; return the best.
-
-        ``n_iters`` is the paper's ``maxIters`` (100 in their runs).
-        The objective may return a bare value or ``(value, metadata)``;
-        metadata lands on the :class:`TrialRecord`.
-
-        With ``n_workers`` > 1, iterations are grouped into
-        constant-liar batches (:meth:`suggest_batch`) evaluated through
-        :func:`repro.parallel.parallel_map`; the objective must then be
-        picklable.  Results are told in suggestion order, so the trial
-        history ordering is deterministic.
-        """
-        if n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
-        return run_search(self, objective, n_iters, callback, n_workers)

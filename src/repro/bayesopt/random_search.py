@@ -8,57 +8,25 @@ bench can swap optimizers without touching the evaluation loop.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from repro.bayesopt.optimizer import TrialRecord, record_trial, run_search
+from repro.bayesopt.optimizer import SearchOptimizer
 from repro.bayesopt.space import SearchSpace
+from repro.state import RNG
 
 __all__ = ["RandomSearch"]
 
 
-class RandomSearch:
+class RandomSearch(SearchOptimizer):
     """Uniform random sampling over a :class:`SearchSpace`."""
 
+    kind = "random"
+    _persisted = {"_rng": RNG}
+
     def __init__(self, space: SearchSpace, seed: int = 0, avoid_duplicates: bool = True):
-        self.space = space
+        super().__init__(space)
         self._rng = np.random.default_rng(seed)
         self.avoid_duplicates = bool(avoid_duplicates)
-        self.history: list[TrialRecord] = []
-        self._excluded = None
-        self._pending_batch: list[dict] = []
-
-    # ------------------------------------------------------------------
-    # resilience hooks (same contract as BayesianOptimizer)
-    # ------------------------------------------------------------------
-    def set_excluded(self, predicate) -> None:
-        """Ban configs for which ``predicate`` is true (quarantine hook)."""
-        self._excluded = predicate
-
-    def search_state(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
-
-    def restore_search_state(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.history)
-
-    @property
-    def best_record(self) -> TrialRecord:
-        if not self.history:
-            raise RuntimeError("no trials evaluated yet")
-        return min(self.history, key=lambda r: r.value)
-
-    @property
-    def best_config(self) -> dict:
-        return dict(self.best_record.config)
-
-    @property
-    def best_value(self) -> float:
-        return self.best_record.value
 
     def suggest(self) -> dict:
         """Draw a uniform config (retrying a few times to dodge repeats
@@ -74,52 +42,3 @@ class RandomSearch:
             ):
                 return config
         return config
-
-    def suggest_batch(self, q: int) -> list[dict]:
-        """Draw ``q`` configs for concurrent evaluation.
-
-        Deduplication sees history *plus* the points already in this
-        batch, which is exactly what serial ``suggest`` would have seen
-        at the same trial index — the RNG stream (and therefore every
-        proposed config) is identical to ``q`` serial suggest/tell
-        rounds.  ``suggest_batch(1)`` reduces exactly to
-        :meth:`suggest`.
-        """
-        if q < 1:
-            raise ValueError("batch size q must be >= 1")
-        self._pending_batch = []
-        if q == 1:
-            return [self.suggest()]
-        configs: list[dict] = []
-        for _ in range(q):
-            config = self.suggest()
-            configs.append(config)
-            self._pending_batch.append(config)
-        return configs
-
-    def tell(self, config: dict, value: float, **metadata) -> TrialRecord:
-        self.space.validate(config)
-        if not np.isfinite(value):
-            value = 1e6
-        record = TrialRecord(
-            iteration=self.n_trials, config=dict(config), value=float(value), metadata=metadata
-        )
-        self.history.append(record)
-        if self._pending_batch:
-            try:
-                self._pending_batch.remove(config)
-            except ValueError:
-                pass
-        record_trial(record, optimizer="random")
-        return record
-
-    def run(
-        self,
-        objective: Callable[[dict], float],
-        n_iters: int,
-        callback: Callable[[TrialRecord], None] | None = None,
-        n_workers: int | None = None,
-    ) -> TrialRecord:
-        if n_iters < 1:
-            raise ValueError("n_iters must be >= 1")
-        return run_search(self, objective, n_iters, callback, n_workers)

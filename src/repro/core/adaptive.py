@@ -59,13 +59,14 @@ from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.resilience import faults as _faults
 from repro.resilience.retry import RetryPolicy
+from repro.state import FLOAT, INT, NESTED, Stateful, optional, seq, window
 
 __all__ = ["AdaptiveLoadDynamics"]
 
 logger = get_logger("core.adaptive")
 
 
-class AdaptiveLoadDynamics(Predictor):
+class AdaptiveLoadDynamics(Stateful, Predictor):
     """Self-retraining LoadDynamics wrapper.
 
     Parameters
@@ -103,6 +104,17 @@ class AdaptiveLoadDynamics(Predictor):
     """
 
     name = "adaptive-loaddynamics"
+    _persisted = {
+        "refit_history": seq(INT),
+        "failed_refits": INT,
+        "drift_refits": INT,
+        "_recent_errors": window(FLOAT, "drift_window", maxlen=True),
+        "_last_pred": optional(FLOAT),
+        "_last_len": INT,
+        "_since_refit": INT,
+        "_best_val_mape": FLOAT,
+        "refit_on_drift": NESTED,
+    }
 
     def __init__(
         self,
@@ -179,58 +191,28 @@ class AdaptiveLoadDynamics(Predictor):
     def state_dict(self, *, model_dir=None) -> dict:
         """JSON-serializable refit bookkeeping for crash-safe resume.
 
-        Covers the refit history/counters, the rolling error window, the
-        cached last forecast, the cool-down cursor, the best validation
-        MAPE anchor, and (when the shared drift detector supports it) the
-        detector state.  The fitted incumbent predictor itself is a model
-        artifact, not bookkeeping: pass ``model_dir`` to persist it
-        alongside via :meth:`~repro.core.predictor.LoadDynamicsPredictor.save`
-        and the state records the directory for :meth:`load_state_dict`
-        to reload from.  Without ``model_dir`` the state only records
+        The declared fields (refit history and counters, the rolling
+        error window, the cached last forecast, the cool-down cursor,
+        the best validation MAPE anchor, the drift detector's state),
+        plus the incumbent model.  That model is an artifact, not
+        bookkeeping: pass ``model_dir`` to save it there via
+        :meth:`~repro.core.predictor.LoadDynamicsPredictor.save`, and
+        the state records the directory for :meth:`load_state_dict` to
+        reload from.  Without ``model_dir`` the state only records
         *whether* an incumbent existed, and loading restores bookkeeping
         around whatever predictor the instance currently holds.
         """
-        out: dict = {
-            "refit_history": list(self.refit_history),
-            "failed_refits": self.failed_refits,
-            "drift_refits": self.drift_refits,
-            "recent_errors": list(self._recent_errors),
-            "last_pred": self._last_pred,
-            "last_len": self._last_len,
-            "since_refit": self._since_refit,
-            "best_val_mape": float(self._best_val_mape),
-            "has_model": self.predictor is not None,
-            "model_dir": None,
-        }
-        if self.refit_on_drift is not None and hasattr(
-            self.refit_on_drift, "state_dict"
-        ):
-            out["drift_detector"] = self.refit_on_drift.state_dict()
-        if model_dir is not None and self.predictor is not None:
-            out["model_dir"] = str(self.predictor.save(model_dir))
+        out = super().state_dict()
+        out["has_model"] = self.predictor is not None
+        out["model_dir"] = (
+            str(self.predictor.save(model_dir))
+            if model_dir is not None and self.predictor is not None else None
+        )
         return out
 
     def load_state_dict(self, state: dict) -> None:
         """Restore :meth:`state_dict` output onto a same-config instance."""
-        errors = [float(e) for e in state["recent_errors"]]
-        if len(errors) > self.drift_window:
-            raise ValueError(
-                f"{len(errors)} saved errors exceed drift_window "
-                f"{self.drift_window}"
-            )
-        self.refit_history = [int(n) for n in state["refit_history"]]
-        self.failed_refits = int(state["failed_refits"])
-        self.drift_refits = int(state["drift_refits"])
-        self._recent_errors = deque(errors, maxlen=self.drift_window)
-        last_pred = state["last_pred"]
-        self._last_pred = float(last_pred) if last_pred is not None else None
-        self._last_len = int(state["last_len"])
-        self._since_refit = int(state["since_refit"])
-        self._best_val_mape = float(state["best_val_mape"])
-        if "drift_detector" in state and self.refit_on_drift is not None and hasattr(
-            self.refit_on_drift, "load_state_dict"
-        ):
-            self.refit_on_drift.load_state_dict(state["drift_detector"])
+        super().load_state_dict(state)
         if state.get("model_dir"):
             self.predictor = LoadDynamicsPredictor.load(state["model_dir"])
         elif state["has_model"] and self.predictor is None:

@@ -51,8 +51,8 @@ class SearchDriver:
     Parameters
     ----------
     optimizer:
-        Any :mod:`repro.bayesopt` optimizer (``suggest``/``tell``; the
-        parallel loop additionally uses ``suggest_batch``).
+        A :class:`~repro.bayesopt.optimizer.SearchOptimizer` (BO, random
+        or grid search).
     journal:
         Optional open :class:`~repro.resilience.TrialJournal`; completed
         trials are appended (fsynced) as they finish.
@@ -157,17 +157,12 @@ class SearchDriver:
                         "trial.quarantined", config=dict(config), failures=failures
                     )
         if self.journal is not None:
-            state = (
-                self.optimizer.search_state()
-                if hasattr(self.optimizer, "search_state")
-                else None
-            )
             self.journal.append_trial(
                 record.iteration,
                 record.config,
                 record.value,
                 record.metadata,
-                state=state,
+                state=self.optimizer.search_state(),
             )
 
     # ------------------------------------------------------------------
@@ -205,7 +200,7 @@ class SearchDriver:
                 best.update(mape=record.value, config=record.config, model=None)
             if trial.get("state") is not None:
                 last_state = trial["state"]
-        if last_state is not None and hasattr(self.optimizer, "restore_search_state"):
+        if last_state is not None:
             self.optimizer.restore_search_state(last_state)
         logger.info(
             "resumed from %s: replayed %d trials (%d infeasible)",

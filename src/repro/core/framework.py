@@ -322,7 +322,7 @@ class LoadDynamics:
             quarantine = (
                 Quarantine(cfg.quarantine_after) if cfg.quarantine_after else None
             )
-            if quarantine is not None and hasattr(optimizer, "set_excluded"):
+            if quarantine is not None:
                 optimizer.set_excluded(quarantine.is_quarantined)
             driver = SearchDriver(optimizer, journal_obj, quarantine)
 

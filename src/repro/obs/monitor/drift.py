@@ -38,6 +38,7 @@ from typing import Protocol, runtime_checkable
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+from repro.state import BOOL, FIXED, FLOAT, INT, Stateful, optional
 
 __all__ = [
     "DriftDetector",
@@ -75,7 +76,7 @@ class DriftDetector(Protocol):
         ...
 
 
-class DriftDetectorBase:
+class DriftDetectorBase(Stateful):
     """Latching, counting, and fire telemetry shared by the detectors.
 
     Subclasses implement :meth:`_step` (return ``True`` to fire) and
@@ -84,10 +85,13 @@ class DriftDetectorBase:
     """
 
     name = "detector"
-
-    #: Attribute names of the subclass's mutable scalar state, serialized
-    #: verbatim by :meth:`state_dict` (config knobs are not included).
-    _STATE_SCALARS: tuple[str, ...] = ()
+    _persisted = {
+        "name": FIXED,
+        "drifted": BOOL,
+        "statistic": FLOAT,
+        "n": INT,
+        "fired_at": optional(INT),
+    }
 
     def __init__(self):
         self.drifted = False
@@ -102,35 +106,6 @@ class DriftDetectorBase:
 
     def _reset_state(self) -> None:
         raise NotImplementedError
-
-    # -- persistence ---------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state (latch, counters, ledgers)."""
-        out = {
-            "name": self.name,
-            "drifted": self.drifted,
-            "statistic": self.statistic,
-            "n": self.n,
-            "fired_at": self.fired_at,
-        }
-        for field in self._STATE_SCALARS:
-            out[field] = getattr(self, field)
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        if state.get("name") != self.name:
-            raise ValueError(
-                f"state from detector {state.get('name')!r} cannot load "
-                f"into {self.name!r}"
-            )
-        self.drifted = bool(state["drifted"])
-        self.statistic = float(state["statistic"])
-        self.n = int(state["n"])
-        fired_at = state["fired_at"]
-        self.fired_at = int(fired_at) if fired_at is not None else None
-        for field in self._STATE_SCALARS:
-            setattr(self, field, state[field])
 
     # ------------------------------------------------------------------
     def update(self, error: float) -> bool:
@@ -198,9 +173,10 @@ class CusumDetector(DriftDetectorBase):
     """
 
     name = "cusum"
-    _STATE_SCALARS = (
-        "_cal_n", "_cal_mean", "_cal_m2", "_mu", "_sigma", "_g_pos", "_g_neg",
-    )
+    _persisted = {
+        "_cal_n": INT, "_cal_mean": FLOAT, "_cal_m2": FLOAT, "_mu": FLOAT,
+        "_sigma": FLOAT, "_g_pos": FLOAT, "_g_neg": FLOAT,
+    }
 
     def __init__(
         self,
@@ -285,7 +261,7 @@ class PageHinkleyDetector(DriftDetectorBase):
     """
 
     name = "page-hinkley"
-    _STATE_SCALARS = ("_count", "_mean", "_cum", "_cum_min")
+    _persisted = {"_count": INT, "_mean": FLOAT, "_cum": FLOAT, "_cum_min": FLOAT}
 
     def __init__(
         self,

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from collections import deque
 
+from repro.state import FLOAT, INT, NESTED, Stateful, seq, window
+
 __all__ = ["QualityTracker"]
 
 #: Window sums are recomputed from scratch every this-many updates per
@@ -37,10 +39,14 @@ __all__ = ["QualityTracker"]
 _REFRESH_EVERY_WINDOWS = 64
 
 
-class _Accumulator:
+class _Accumulator(Stateful):
     """Running sums of one (err, ae, ape, sape, over, under) stream."""
 
     __slots__ = ("n", "err", "ae", "ape", "sape", "over", "under")
+    _persisted = {
+        "n": INT, "err": FLOAT, "ae": FLOAT, "ape": FLOAT,
+        "sape": FLOAT, "over": INT, "under": INT,
+    }
 
     def __init__(self):
         self.n = 0
@@ -60,21 +66,6 @@ class _Accumulator:
         self.over += rec[4]
         self.under += rec[5]
 
-    def state_dict(self) -> dict:
-        return {
-            "n": self.n, "err": self.err, "ae": self.ae, "ape": self.ape,
-            "sape": self.sape, "over": self.over, "under": self.under,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.n = int(state["n"])
-        self.err = float(state["err"])
-        self.ae = float(state["ae"])
-        self.ape = float(state["ape"])
-        self.sape = float(state["sape"])
-        self.over = int(state["over"])
-        self.under = int(state["under"])
-
     def snapshot(self) -> dict:
         n = self.n
         if n == 0:
@@ -93,7 +84,7 @@ class _Accumulator:
         }
 
 
-class QualityTracker:
+class QualityTracker(Stateful):
     """Rolling + cumulative online accuracy over a forecast stream.
 
     Parameters
@@ -104,7 +95,17 @@ class QualityTracker:
         Denominator floor for MAPE (same convention as
         :class:`~repro.core.adaptive.AdaptiveLoadDynamics`'s error
         scoring) so zero-arrival intervals do not divide by zero.
+
+    The rolling accumulator is saved *as accumulated* (raw running sums),
+    not recomputed from the window records: its subtract-on-evict float
+    drift is part of the exact state a resumed stream must reproduce.
     """
+
+    _persisted = {
+        "_recent": window(seq(cast=tuple), "window"),
+        "_roll": NESTED,
+        "_total": NESTED,
+    }
 
     def __init__(self, window: int = 256, eps: float = 1e-9):
         if window < 1:
@@ -187,33 +188,6 @@ class QualityTracker:
         for rec in self._recent:
             fresh.add(rec)
         self._roll = fresh
-
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state for crash-safe serving resume.
-
-        The rolling accumulator is serialized *as accumulated* (raw
-        running sums), not recomputed from the window records: the
-        subtract-on-evict float drift it carries is part of the exact
-        state, and a resumed stream must reproduce the uninterrupted
-        run's outputs bit-for-bit.
-        """
-        return {
-            "recent": [list(rec) for rec in self._recent],
-            "roll": self._roll.state_dict(),
-            "total": self._total.state_dict(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        recent = [tuple(rec) for rec in state["recent"]]
-        if len(recent) > self.window:
-            raise ValueError(
-                f"{len(recent)} saved window records exceed window {self.window}"
-            )
-        self._recent = deque(recent)
-        self._roll.load_state_dict(state["roll"])
-        self._total.load_state_dict(state["total"])
 
     def rolling_mape(self) -> float:
         """Mean APE over the current window (NaN when empty)."""

@@ -26,6 +26,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
+from repro.state import COMPONENTS, INT, Stateful, window
+
 __all__ = ["HEALTHY", "DEGRADED", "BREACHED", "HealthReport", "SLOTracker"]
 
 HEALTHY = "healthy"
@@ -64,11 +66,17 @@ class HealthReport:
         return {"status": self.status, "reasons": list(self.reasons)}
 
 
-class _Objective:
+class _Objective(Stateful):
     """Violation accounting for one SLO objective."""
 
     __slots__ = ("name", "bound", "target", "window", "n", "violations",
                  "_recent", "_recent_violations")
+    _persisted = {
+        "n": INT,
+        "violations": INT,
+        "_recent": window(INT, "window"),
+        "_recent_violations": INT,
+    }
 
     def __init__(self, name: str, bound: float, target: float, window: int):
         self.name = name
@@ -88,25 +96,6 @@ class _Objective:
         self._recent_violations += v
         if len(self._recent) > self.window:
             self._recent_violations -= self._recent.popleft()
-
-    def state_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "violations": self.violations,
-            "recent": list(self._recent),
-            "recent_violations": self._recent_violations,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        recent = [int(v) for v in state["recent"]]
-        if len(recent) > self.window:
-            raise ValueError(
-                f"{len(recent)} saved window records exceed window {self.window}"
-            )
-        self.n = int(state["n"])
-        self.violations = int(state["violations"])
-        self._recent = deque(recent)
-        self._recent_violations = int(state["recent_violations"])
 
     @property
     def budget_consumed(self) -> float:
@@ -140,7 +129,7 @@ class _Objective:
         }
 
 
-class SLOTracker:
+class SLOTracker(Stateful):
     """Latency + accuracy objectives with error-budget accounting.
 
     Parameters
@@ -159,7 +148,12 @@ class SLOTracker:
         Grace period: verdicts are ``healthy`` until this many intervals
         have been observed, so the first violation of a young run cannot
         instantly "breach" a budget of fractions of an interval.
+
+    The resumable state is each objective's ledger; a saved objective
+    set that differs from the configured one is a ``ValueError``.
     """
+
+    _persisted = {"objectives": COMPONENTS}
 
     def __init__(
         self,
@@ -200,25 +194,6 @@ class SLOTracker:
         acc = self.objectives.get("accuracy")
         if acc is not None and ape is not None:
             acc.record(ape > acc.bound)
-
-    def state_dict(self) -> dict:
-        """JSON-serializable per-objective ledgers for serving resume."""
-        return {
-            "objectives": {
-                name: obj.state_dict() for name, obj in self.objectives.items()
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        saved = state["objectives"]
-        if set(saved) != set(self.objectives):
-            raise ValueError(
-                f"saved objectives {sorted(saved)} do not match configured "
-                f"objectives {sorted(self.objectives)}"
-            )
-        for name, obj_state in saved.items():
-            self.objectives[name].load_state_dict(obj_state)
 
     def health(self) -> HealthReport:
         """Fold every objective into one verdict (worst wins)."""

@@ -28,6 +28,7 @@ from collections import deque
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
+from repro.state import BOOL, INT, STR, Stateful, choice, seq, window
 
 __all__ = ["CLOSED", "OPEN", "HALF_OPEN", "CircuitBreaker"]
 
@@ -38,8 +39,22 @@ OPEN = "open"
 HALF_OPEN = "half_open"
 
 
-class CircuitBreaker:
-    """Deterministic closed/open/half-open breaker over call outcomes."""
+class CircuitBreaker(Stateful):
+    """Deterministic closed/open/half-open breaker over call outcomes.
+
+    The resumable state is the whole decision state: the outcome window,
+    the open-state denial count, the half-open probe tally and the
+    transition history.  Losing any of it would let a resumed serving
+    process re-admit a model the crashed one had already shed.
+    """
+
+    _persisted = {
+        "_state": choice(CLOSED, OPEN, HALF_OPEN),
+        "_outcomes": window(BOOL, "window", maxlen=True),
+        "_denied": INT,
+        "_probe_successes": INT,
+        "transitions": seq(seq(STR, tuple)),
+    }
 
     def __init__(
         self,
@@ -119,46 +134,6 @@ class CircuitBreaker:
                 and self.failure_rate >= self.failure_threshold
             ):
                 self._transition(OPEN, "failure_rate")
-
-    # ------------------------------------------------------------------
-    # persistence: the breaker's entire decision state is the window of
-    # outcomes plus the open/half-open bookkeeping — all of it must
-    # survive a serialize/restore cycle or a resumed serving process
-    # would re-admit a model the crashed process had already shed.
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable state (config is not included).
-
-        Captures the sliding outcome window, the open-state denial count,
-        the half-open probe tally, and the full transition history, so a
-        :meth:`load_state_dict` round-trip preserves cool-down progress
-        and probation accounting exactly.
-        """
-        return {
-            "state": self._state,
-            "outcomes": [bool(x) for x in self._outcomes],
-            "denied": self._denied,
-            "probe_successes": self._probe_successes,
-            "transitions": [list(t) for t in self.transitions],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        to_state = str(state["state"])
-        if to_state not in (CLOSED, OPEN, HALF_OPEN):
-            raise ValueError(f"unknown breaker state {to_state!r}")
-        outcomes = [bool(x) for x in state["outcomes"]]
-        if len(outcomes) > self.window:
-            raise ValueError(
-                f"{len(outcomes)} saved outcomes exceed window {self.window}"
-            )
-        self._state = to_state
-        self._outcomes = deque(outcomes, maxlen=self.window)
-        self._denied = int(state["denied"])
-        self._probe_successes = int(state["probe_successes"])
-        self.transitions = [
-            (str(f), str(t), str(r)) for f, t, r in state["transitions"]
-        ]
 
     # ------------------------------------------------------------------
     def _transition(self, to_state: str, reason: str) -> None:

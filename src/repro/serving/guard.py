@@ -39,6 +39,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.logging import get_logger
 from repro.resilience import faults as _faults
 from repro.serving.breaker import CircuitBreaker
+from repro.state import COUNTS, FLOAT, NESTED, Stateful, optional
 
 __all__ = ["CorruptModelError", "GuardedPredictor", "default_fallbacks"]
 
@@ -73,7 +74,7 @@ def default_fallbacks(period: int | None = None) -> list[Predictor]:
     return chain
 
 
-class GuardedPredictor(Predictor):
+class GuardedPredictor(Stateful, Predictor):
     """Wrap a predictor with validation, a fallback chain, and a breaker.
 
     Parameters
@@ -93,7 +94,18 @@ class GuardedPredictor(Predictor):
         How much recent history feeds the rolling maximum.
     breaker:
         A configured :class:`CircuitBreaker`, or ``None`` for defaults.
+
+    Frozen models and the stateless fallbacks carry no serving state; a
+    primary with its own (e.g. :class:`~repro.core.adaptive.AdaptiveLoadDynamics`)
+    is saved with the guard.
     """
+
+    _persisted = {
+        "served_by": COUNTS,
+        "_drift_shift": optional(FLOAT),
+        "breaker": NESTED,
+        "primary": NESTED,
+    }
 
     def __init__(
         self,
@@ -224,42 +236,6 @@ class GuardedPredictor(Predictor):
             return None
         self.breaker.record_success()
         return value
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-serializable mutable serving state.
-
-        Covers the per-stage serve counts, the latched drift shift, the
-        nested breaker state, and — when the primary itself exposes
-        ``state_dict`` (e.g. :class:`~repro.core.adaptive.AdaptiveLoadDynamics`)
-        — the primary's state.  Frozen models and the stateless baseline
-        fallbacks carry no mutable serving state, so they are not
-        serialized here.
-        """
-        out: dict = {
-            "served_by": dict(self.served_by),
-            "drift_shift": self._drift_shift,
-            "breaker": self.breaker.state_dict(),
-        }
-        if self.primary is not None and hasattr(self.primary, "state_dict"):
-            out["primary"] = self.primary.state_dict()
-        return out
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output onto a same-config instance."""
-        self.served_by = {str(k): int(v) for k, v in state["served_by"].items()}
-        shift = state["drift_shift"]
-        self._drift_shift = float(shift) if shift is not None else None
-        self.breaker.load_state_dict(state["breaker"])
-        if "primary" in state:
-            if self.primary is None or not hasattr(self.primary, "load_state_dict"):
-                raise ValueError(
-                    "saved state carries primary-predictor state but the "
-                    "configured primary cannot load it"
-                )
-            self.primary.load_state_dict(state["primary"])
 
     # ------------------------------------------------------------------
     # Predictor protocol

@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -70,6 +70,9 @@ from repro.obs.monitor.monitor import ForecastMonitor
 from repro.resilience import faults as _faults
 from repro.serving.online import ServingReport, serving_counters, simulate_report
 from repro.serving.sanitize import TraceSanitizer
+from repro.state import (
+    FLOAT, INT, LIST, NESTED, declare, dump, load, record, seq,
+)
 from repro.traces.loader import TraceValidationError
 
 __all__ = [
@@ -87,7 +90,7 @@ logger = get_logger("serving.stream")
 #: Version stamp written into every ``checkpoint.json``; a mismatch on
 #: restore is a typed :class:`CheckpointError`, never a silent
 #: misinterpretation of old state.
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 _CHECKPOINT_FILE = "checkpoint.json"
 #: Append-only sidecars: raw float64 for the served intervals, one JSON
@@ -135,15 +138,6 @@ class StreamStalled:
     gap_s: float
     deadline_s: float
     intervals_held: int
-
-    def as_dict(self) -> dict:
-        return {
-            "chunk_index": self.chunk_index,
-            "offset": self.offset,
-            "gap_s": self.gap_s,
-            "deadline_s": self.deadline_s,
-            "intervals_held": self.intervals_held,
-        }
 
 
 @dataclass(frozen=True)
@@ -305,6 +299,33 @@ def _read_sidecar(path: Path, nbytes: int) -> bytes:
     return blob[:nbytes]
 
 
+#: Checkpoint sections of :class:`StreamingServer`: the ingest cursor,
+#: the degradation ledgers, and the stateful components (the controller
+#: is saved apart, its decision log going to the sidecar).
+_COMPONENTS = declare({"predictor": NESTED, "monitor": NESTED})
+_CURSOR = declare({
+    "_next_offset": INT,
+    "_chunks_processed": INT,
+    "_served_intervals": INT,
+    "_last_arrival_s": FLOAT,
+    "_busy_until_s": FLOAT,
+    "_queue_peak": FLOAT,
+    "_checkpoints_written": INT,
+})
+_DEGRADE = declare({
+    "_last_decision": FLOAT,
+    "_last_clean": FLOAT,
+    "_held_intervals": INT,
+    "_gap_intervals": INT,
+    "_shed_chunks": INT,
+    "_shed_intervals": INT,
+    "_quarantined_intervals": INT,
+    "_repaired_values": INT,
+    "quarantine": LIST,
+    "stalls": seq(record(StreamStalled)),
+})
+
+
 class StreamingServer:
     """Serve a chunked feed with quarantine, degradation, and checkpoints.
 
@@ -325,8 +346,9 @@ class StreamingServer:
         chunks it cannot repair are quarantined.
     monitor / controller / spec / seed / refit_every:
         As in :func:`repro.serving.online.serve_and_simulate`; the
-        monitor is scored with ``latency_s=None`` (logical time only)
-        and ``refit_every=None`` disables in-stream refits.
+        monitor is scored with ``latency_s=None`` (logical time only),
+        so a monitor with a latency SLO is a ``ValueError``, and
+        ``refit_every=None`` disables in-stream refits.
     """
 
     def __init__(
@@ -347,6 +369,13 @@ class StreamingServer:
             raise ValueError("initial_history must be non-empty")
         if refit_every is not None and refit_every < 1:
             raise ValueError("refit_every must be >= 1 (or None)")
+        slo = getattr(monitor, "slo", None)
+        if slo is not None and "latency" in slo.objectives:
+            raise ValueError(
+                "a streamed run scores its monitor untimed (latency_s=None), "
+                "so a latency SLO would never be measured; drop "
+                "latency_slo_ms from the monitor's SLOTracker"
+            )
         self.config = config if config is not None else StreamConfig()
         self.predictor = predictor
         self.sanitizer = (
@@ -659,7 +688,7 @@ class StreamingServer:
                         chunk.index, gap_s, cfg.deadline_s,
                     )
                     if _events.enabled():
-                        _events.emit("stream.stalled", **rec.as_dict())
+                        _events.emit("stream.stalled", **asdict(rec))
                     self._hold_block(clean)
                 else:
                     self._serve_values(clean)
@@ -717,44 +746,16 @@ class StreamingServer:
 
         self._checkpoints_written += 1
         self._c_ckpt.inc()
-        components: dict = {
-            "predictor": (
-                self.predictor.state_dict()
-                if hasattr(self.predictor, "state_dict") else None
-            ),
-            "monitor": (
-                self.monitor.state_dict() if self.monitor is not None else None
-            ),
-            "controller": (
-                controller.control_state_dict()
-                if controller is not None else None
-            ),
-        }
+        components = dump(self, _COMPONENTS)
+        components["controller"] = (
+            controller.control_state_dict() if controller is not None else None
+        )
         tail = self._history_view()
         state = {
             "schema": CHECKPOINT_SCHEMA,
             "identity": self._identity(),
-            "cursor": {
-                "next_offset": self._next_offset,
-                "chunks_processed": self._chunks_processed,
-                "served_intervals": self._served_intervals,
-                "last_arrival_s": self._last_arrival_s,
-                "busy_until_s": self._busy_until_s,
-                "queue_peak": self._queue_peak,
-                "checkpoints_written": self._checkpoints_written,
-            },
-            "degrade": {
-                "last_decision": self._last_decision,
-                "last_clean": self._last_clean,
-                "held_intervals": self._held_intervals,
-                "gap_intervals": self._gap_intervals,
-                "shed_chunks": self._shed_chunks,
-                "shed_intervals": self._shed_intervals,
-                "quarantined_intervals": self._quarantined_intervals,
-                "repaired_values": self._repaired_values,
-                "quarantine": list(self.quarantine),
-                "stalls": [s.as_dict() for s in self.stalls],
-            },
+            "cursor": dump(self, _CURSOR),
+            "degrade": dump(self, _DEGRADE),
             "history": {"hex": tail.tobytes().hex()},
             "components": components,
             "counters": serving_counters(),
@@ -860,42 +861,20 @@ class StreamingServer:
         self._hbuf[: hist.size] = hist
         self._hlen = int(hist.size)
 
-        cursor = state["cursor"]
-        self._next_offset = int(cursor["next_offset"])
-        self._chunks_processed = int(cursor["chunks_processed"])
-        self._served_intervals = int(cursor["served_intervals"])
-        self._last_arrival_s = float(cursor["last_arrival_s"])
-        self._busy_until_s = float(cursor["busy_until_s"])
-        self._queue_peak = float(cursor["queue_peak"])
-        self._checkpoints_written = int(cursor["checkpoints_written"])
-
-        degrade = state["degrade"]
-        self._last_decision = float(degrade["last_decision"])
-        self._last_clean = float(degrade["last_clean"])
-        self._held_intervals = int(degrade["held_intervals"])
-        self._gap_intervals = int(degrade["gap_intervals"])
-        self._shed_chunks = int(degrade["shed_chunks"])
-        self._shed_intervals = int(degrade["shed_intervals"])
-        self._quarantined_intervals = int(degrade["quarantined_intervals"])
-        self._repaired_values = int(degrade["repaired_values"])
-        self.quarantine = list(degrade["quarantine"])
-        self.stalls = [StreamStalled(**s) for s in degrade["stalls"]]
+        load(self, _CURSOR, state["cursor"])
+        load(self, _DEGRADE, state["degrade"])
 
         components = state["components"]
-        saved_pred = components.get("predictor")
-        if saved_pred is not None:
-            if not hasattr(self.predictor, "load_state_dict"):
-                raise CheckpointError(
-                    "checkpoint carries predictor state but the configured "
-                    "predictor cannot load it"
+        try:
+            load(self, _COMPONENTS, components)
+            if self.controller is not None:
+                self.controller.load_state_dict(
+                    {**components["controller"], "decisions": rows}
                 )
-            self.predictor.load_state_dict(saved_pred)
-        if self.monitor is not None:
-            self.monitor.load_state_dict(components["monitor"])
-        if self.controller is not None:
-            self.controller.load_state_dict(
-                {**components["controller"], "decisions": rows}
-            )
+        except ValueError as exc:
+            raise CheckpointError(
+                f"checkpoint state does not fit the configured components: {exc}"
+            ) from exc
 
         # Counters are monotonic, so restoration is by delta: in a fresh
         # process every counter starts at 0 and lands exactly on the
@@ -930,7 +909,7 @@ class StreamingServer:
             "quarantined_chunks": len(self.quarantine),
             "quarantined_intervals": self._quarantined_intervals,
             "repaired_values": self._repaired_values,
-            "stalls": [s.as_dict() for s in self.stalls],
+            "stalls": [asdict(s) for s in self.stalls],
             "queue_peak_intervals": self._queue_peak,
             "checkpoints_written": self._checkpoints_written,
             "quarantine": list(self.quarantine),

@@ -25,6 +25,7 @@ PACKAGES = [
     "repro.obs",
     "repro.obs.monitor",
     "repro.serving",
+    "repro.state",
 ]
 
 MODULES = PACKAGES + [

@@ -14,7 +14,10 @@ from repro.autoscale import (
     PredictivePolicy,
     ReactivePolicy,
     VMSpec,
+    ControllerConfig,
+    HybridController,
     provisioning_schedule,
+    reactive_target,
     summarize,
 )
 from repro.baselines.naive import MeanPredictor
@@ -184,6 +187,27 @@ class TestReactiveGeneralized:
         arrivals = np.array([np.nan, np.nan, 5.0])
         sched = ReactivePolicy().schedule(arrivals, start=2)
         np.testing.assert_array_equal(sched, [0.0])
+
+    def test_all_nonfinite_window_is_positive_zero(self):
+        arrivals = np.array([3.0, np.nan, np.nan, 5.0])
+        sched = ReactivePolicy(window=2, headroom=2.0).schedule(arrivals, start=1)
+        np.testing.assert_array_equal(sched, [6.0, 6.0, 0.0])
+        assert not np.signbit(sched).any()
+
+    def test_controller_reactive_tier_is_the_policy_rule(self):
+        """One reactive rule: the hybrid controller's degraded tier and
+        ReactivePolicy both provision ``reactive_target``."""
+        history = np.array([4.0, np.nan, 7.5, 2.0])
+        assert reactive_target(history[-2:], 1.5) == 11.25
+        assert reactive_target(np.array([np.nan, np.nan])) is None
+        assert reactive_target(np.array([])) is None
+        ctl = HybridController(ControllerConfig(reactive_window=2, reactive_headroom=1.5))
+        decision = ctl.step(float("nan"), history)
+        assert decision.decided_by == "reactive"
+        assert decision.target == reactive_target(history[-2:], 1.5)
+        assert ReactivePolicy(window=2, headroom=1.5).schedule(
+            np.append(history, 0.0), start=4
+        )[0] == np.ceil(decision.target)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -225,15 +225,22 @@ class TestOptimizerResilience:
             assert cfg["x"] <= 0
             bo.tell(cfg, bowl(cfg))
 
-    def test_state_restore_resumes_identically(self, float_space):
-        full = BayesianOptimizer(float_space, n_initial=2, seed=3)
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda s: BayesianOptimizer(s, n_initial=2, seed=3), id="bayesian"),
+        pytest.param(lambda s: RandomSearch(s, seed=3), id="random"),
+        pytest.param(lambda s: GridSearch(s, points_per_dim=3, shuffle=True, seed=3),
+                     id="grid"),
+    ])
+    def test_state_restore_resumes_identically(self, float_space, make):
+        full = make(float_space)
         full.run(bowl, 8)
 
-        # Interrupted twin: 4 trials, then a fresh optimizer replays them.
-        half = BayesianOptimizer(float_space, n_initial=2, seed=3)
+        # Interrupted twin: 4 trials, then a fresh optimizer replays them
+        # from a journal-style JSON copy of the search state.
+        half = make(float_space)
         half.run(bowl, 4)
-        state = half.search_state()
-        resumed = BayesianOptimizer(float_space, n_initial=2, seed=3)
+        state = json.loads(json.dumps(half.search_state()))
+        resumed = make(float_space)
         for t in half.history:
             resumed.tell(t.config, t.value)
         resumed.restore_search_state(state)

@@ -432,6 +432,24 @@ class TestStreamingDegradation:
         assert rep.schedule.size == 1000
         assert np.all(np.isfinite(rep.schedule))
 
+    def test_latency_slo_is_rejected(self):
+        """Streams score their monitor untimed, so a latency objective
+        would stay at n=0 and never affect health: refuse it up front."""
+        trace = _diurnal(300)
+        for slo in (SLOTracker(latency_slo_ms=1e-6),
+                    SLOTracker(latency_slo_ms=5.0, accuracy_slo_mape=50.0)):
+            with pytest.raises(ValueError, match="latency"):
+                serve_and_simulate(
+                    GuardedPredictor(None, fallbacks=default_fallbacks(48)),
+                    trace, 200, monitor=ForecastMonitor(slo=slo),
+                    stream=StreamConfig(chunk_size=50),
+                )
+        with pytest.raises(ValueError, match="latency"):
+            StreamingServer(
+                GuardedPredictor(None), trace[:200],
+                monitor=ForecastMonitor(slo=SLOTracker(latency_slo_ms=5.0)),
+            )
+
     def test_dropped_chunk_serves_gap_blind(self):
         trace = _diurnal(2000)
         rep = _stream_run(trace, 1000, faults="drop@stream.chunk:3")
@@ -618,12 +636,32 @@ class TestCheckpointResume:
         _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"), controller=True)
         path = tmp_path / "ck" / "checkpoint.json"
         saved = json.loads(path.read_text())
-        # Schema 1 inlined the decision log: refused, not read.
-        for schema in (1, 99):
+        # Schema 1 inlined the decision log and schema 2 wrote other
+        # state keys: both are refused, not read.
+        for schema in (1, 2, 99):
             path.write_text(json.dumps({**saved, "schema": schema}))
             with pytest.raises(CheckpointError, match=f"schema {schema}"):
                 _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"),
                             controller=True, resume=True)
+
+    def test_component_mismatch_is_typed_error(self, tmp_path):
+        """State that does not fit the configured components (here one
+        detector where the checkpoint saved two) is refused, typed."""
+        trace = _diurnal(2000)
+        _stream_run(trace, 1000, ckpt=str(tmp_path / "ck"))
+        reset_metrics()
+        monitor = ForecastMonitor(
+            detectors=[CusumDetector()], slo=SLOTracker(accuracy_slo_mape=30.0)
+        )
+        cfg = StreamConfig(
+            checkpoint_dir=str(tmp_path / "ck"), resume=True,
+            checkpoint_every=5, chunk_size=64, size_jitter=8, seed=3,
+        )
+        with pytest.raises(CheckpointError, match="configured components"):
+            serve_and_simulate(
+                GuardedPredictor(None, fallbacks=default_fallbacks(48)),
+                trace, 1000, monitor=monitor, stream=cfg,
+            )
 
     def test_corrupt_checkpoint_is_typed_error(self, tmp_path):
         trace = _diurnal(2000)
